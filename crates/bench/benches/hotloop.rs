@@ -22,6 +22,9 @@
 //! profiler with no [`SinkHandle`] attached must cost the same as one
 //! that never heard of telemetry, and the sink-on overhead is recorded.
 //!
+//! A `lint/device_16` row times the static pass every fleet device runs
+//! before its day: `Linter::lint_system` over a fixed 16-app handset.
+//!
 //! With `--test` the suite smoke-runs everything once. Otherwise it
 //! writes `BENCH_hotloop.json` at the repository root (schema
 //! `ea-bench/hotloop/v1`) — the committed baseline the CI regression
@@ -33,8 +36,10 @@ use criterion::{smoke_mode, take_measurements, BenchmarkId, Criterion, Measureme
 use ea_apps::demo::{packages, DemoApps};
 use ea_apps::malware::Malware;
 use ea_core::{Profiler, ScreenPolicy};
+use ea_corpus::{generate_corpus, CorpusConfig};
 use ea_fleet::{run_fleet, FleetConfig};
 use ea_framework::AndroidSystem;
+use ea_lint::Linter;
 use ea_power::Battery;
 use ea_sim::SimDuration;
 use ea_telemetry::Recorder;
@@ -361,6 +366,45 @@ fn bench_telemetry(c: &mut Criterion) {
     group.finish();
 }
 
+/// Apps on the lint bench handset: the fleet's mean install set is 16.3
+/// (4–16 corpus apps, the 6-app demo set, malware on 30% of devices).
+const LINT_APPS: usize = 16;
+
+/// `lint/device_16` before the allocation-free lattice and
+/// once-per-device evidence: the best of four lint-only runs of this
+/// bench on a 2-core host, interleaved with the runs that measured the
+/// committed `lint/device_16` row.
+const LINT_DEVICE_16_PARENT_NS: f64 = 398_337.3;
+
+/// A 16-app handset: the first 10 manifests of the default corpus (the
+/// paper's collection, seed 2017) plus the demo set.
+fn lint_handset() -> AndroidSystem {
+    let config = FleetConfig::default();
+    let corpus = generate_corpus(
+        &CorpusConfig {
+            size: config.corpus_size,
+            ..CorpusConfig::paper()
+        },
+        config.corpus_seed,
+    );
+    let mut android = AndroidSystem::new();
+    for manifest in &corpus[..10] {
+        android.install(manifest.clone());
+    }
+    DemoApps::install_all(&mut android);
+    assert_eq!(android.user_apps().count(), LINT_APPS);
+    android
+}
+
+/// The per-device static pass: facts, fixpoint solve and every rule.
+fn bench_lint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lint");
+    let android = lint_handset();
+    let linter = Linter::new();
+    group.bench_function("device_16", |b| b.iter(|| linter.lint_system(&android)));
+    group.finish();
+}
+
 #[derive(Serialize)]
 struct BenchEntry {
     label: String,
@@ -422,6 +466,15 @@ struct BatchSection {
 }
 
 #[derive(Serialize)]
+struct LintSection {
+    /// One `lint_system` pass over the 16-app handset.
+    device_16_ns: f64,
+    /// The same row before the allocation-free lint pass.
+    parent_device_16_ns: f64,
+    apps: usize,
+}
+
+#[derive(Serialize)]
 struct HotloopReport {
     schema: &'static str,
     benches: Vec<BenchEntry>,
@@ -430,6 +483,7 @@ struct HotloopReport {
     metrics: MetricsSection,
     serve: ServeSection,
     batch: BatchSection,
+    lint: LintSection,
 }
 
 /// The label's best (minimum) mean across repeat rounds.
@@ -458,6 +512,7 @@ fn main() {
         bench_batch_step(&mut criterion);
         bench_serve_ingest(&mut criterion);
         bench_telemetry(&mut criterion);
+        bench_lint(&mut criterion);
     }
 
     let measurements = take_measurements();
@@ -484,6 +539,7 @@ fn main() {
     let sink_off = mean_of(&measurements, "telemetry/step/sink_off");
     let sink_on = mean_of(&measurements, "telemetry/step/sink_on");
     let metrics_on = mean_of(&measurements, "single_step/step/metrics_on");
+    let lint_device = mean_of(&measurements, "lint/device_16");
 
     let speedup = SpeedupSection {
         single_step: step_ref / step_opt,
@@ -542,6 +598,18 @@ fn main() {
         metrics.metrics_on_overhead_pct
     );
 
+    let lint = LintSection {
+        device_16_ns: lint_device,
+        parent_device_16_ns: LINT_DEVICE_16_PARENT_NS,
+        apps: LINT_APPS,
+    };
+    println!(
+        "lint: {:.1} us per {}-app device (parent {:.1} us)",
+        lint.device_16_ns / 1e3,
+        lint.apps,
+        lint.parent_device_16_ns / 1e3
+    );
+
     // One entry per label: the best round (matching what the ratios use).
     let mut benches: Vec<BenchEntry> = Vec::new();
     for m in &measurements {
@@ -566,6 +634,7 @@ fn main() {
         metrics,
         serve,
         batch,
+        lint,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotloop.json");
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

@@ -22,7 +22,7 @@ mod price;
 mod solver;
 pub mod transfer;
 
-pub use lattice::{Resource, ResourceState};
+pub use lattice::{Reason, Resource, ResourceState};
 pub use price::{PricedEnvelope, Pricer, COMPONENTS, SECONDS_PER_DAY};
 pub use solver::{AbsintSolution, ReachInfo, SolverStats};
 pub use transfer::Phase;

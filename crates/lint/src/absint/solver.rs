@@ -6,9 +6,9 @@
 //!    [`transfer::edges`] are iterated with
 //!    `state(n) = generate(n) ⊔ ⨆ kill(e, state(pred))` until nothing
 //!    changes. The lattice is finite-height (occupancies from a finite
-//!    constant set, cause sets inside a finite universe) and every
-//!    transfer is monotone, so termination is structural, not a fuel
-//!    counter.
+//!    constant set, reason sets inside the fixed [`super::Reason`]
+//!    universe) and every transfer is monotone, so termination is
+//!    structural, not a fuel counter.
 //! 2. **k-hop intent reachability** — the cross-app generalization of
 //!    the old two-hop pass. An app's *emission vocabulary* is the set of
 //!    implicit actions its own components declare (an app that declares

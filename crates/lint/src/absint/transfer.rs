@@ -18,7 +18,7 @@
 
 use ea_framework::{ComponentKind, Permission, WakelockPolicy};
 
-use super::lattice::{Resource, ResourceState};
+use super::lattice::{Reason, Resource, ResourceState};
 use crate::facts::AppFacts;
 
 /// One node of the per-app lifecycle graph.
@@ -54,15 +54,11 @@ impl Phase {
 /// framework gates none of these on permissions, and camera only on
 /// [`Permission::Camera`].
 fn ungated(state: &mut ResourceState, facts: &AppFacts) {
-    state.raise(Resource::Radio, 1.0, "network use is not permission-gated");
-    state.raise(Resource::Gps, 1.0, "GPS holds are not permission-gated");
-    state.raise(
-        Resource::Audio,
-        1.0,
-        "audio playback is not permission-gated",
-    );
+    state.raise(Resource::Radio, 1.0, Reason::NetworkUngated);
+    state.raise(Resource::Gps, 1.0, Reason::GpsUngated);
+    state.raise(Resource::Audio, 1.0, Reason::AudioUngated);
     if facts.has_permission(Permission::Camera) {
-        state.raise(Resource::Camera, 1.0, "holds CAMERA");
+        state.raise(Resource::Camera, 1.0, Reason::CameraPermission);
     }
 }
 
@@ -71,16 +67,8 @@ pub fn generate(phase: Phase, facts: &AppFacts) -> ResourceState {
     let mut state = ResourceState::bottom();
     match phase {
         Phase::Foreground => {
-            state.raise(
-                Resource::ScreenOn,
-                1.0,
-                "foreground session lights the screen",
-            );
-            state.raise(
-                Resource::CpuForeground,
-                1.0,
-                "foreground session may pin a core",
-            );
+            state.raise(Resource::ScreenOn, 1.0, Reason::ForegroundScreen);
+            state.raise(Resource::CpuForeground, 1.0, Reason::ForegroundCore);
             ungated(&mut state, facts);
         }
         Phase::Background => {
@@ -88,41 +76,29 @@ pub fn generate(phase: Phase, facts: &AppFacts) -> ResourceState {
                 Some(util) => state.raise(
                     Resource::CpuBackground,
                     util,
-                    format!("declared background demand {util:.2} core(s)"),
+                    Reason::BackgroundDemandDeclared,
                 ),
                 None => state.raise(
                     Resource::CpuBackground,
                     1.0,
-                    "background demand unknown: assume a full core",
+                    Reason::BackgroundDemandUnknown,
                 ),
             }
             // "A screen wakelock acquired while backgrounded leaks
             // immediately regardless of the release policy" — the EA0006
             // precondition, as an occupancy.
             if facts.has_permission(Permission::WakeLock) {
-                state.raise(
-                    Resource::ScreenBright,
-                    1.0,
-                    "WAKE_LOCK acquired while invisible leaks regardless of policy",
-                );
+                state.raise(Resource::ScreenBright, 1.0, Reason::WakelockWhileInvisible);
             }
             if facts.has_permission(Permission::WriteSettings) {
-                state.raise(
-                    Resource::ScreenBright,
-                    1.0,
-                    "WRITE_SETTINGS allows brightness escalation",
-                );
+                state.raise(Resource::ScreenBright, 1.0, Reason::WriteSettings);
             }
             ungated(&mut state, facts);
         }
         Phase::Service => {
-            state.raise(Resource::CpuService, 1.0, "running service pins a core");
+            state.raise(Resource::CpuService, 1.0, Reason::ServiceCore);
             if facts.has_permission(Permission::WakeLock) {
-                state.raise(
-                    Resource::ScreenBright,
-                    1.0,
-                    "service-held screen wakelock outlives the UI",
-                );
+                state.raise(Resource::ScreenBright, 1.0, Reason::ServiceWakelock);
             }
             ungated(&mut state, facts);
         }
@@ -133,12 +109,8 @@ pub fn generate(phase: Phase, facts: &AppFacts) -> ResourceState {
 /// Filters the state flowing along the lifecycle edge `from → to`:
 /// returns the resources that survive the transition.
 pub fn kill(from: Phase, to: Phase, facts: &AppFacts, state: &ResourceState) -> ResourceState {
-    let mut out = ResourceState::bottom();
+    let mut out = *state;
     for resource in Resource::ALL {
-        let occ = state.occupancy(resource);
-        if occ == 0.0 {
-            continue;
-        }
         let killed = match resource {
             // Leaving the foreground stops the session's screen and core.
             Resource::ScreenOn | Resource::CpuForeground => to != Phase::Foreground,
@@ -156,10 +128,8 @@ pub fn kill(from: Phase, to: Phase, facts: &AppFacts, state: &ResourceState) -> 
             }
             _ => false,
         };
-        if !killed {
-            for cause in state.causes(resource) {
-                out.raise(resource, occ, cause);
-            }
+        if killed {
+            out.clear(resource);
         }
     }
     out
@@ -260,7 +230,7 @@ mod tests {
         well_written.wakelock_policy = Some(WakelockPolicy::OnPause);
 
         let mut fg = generate(Phase::Foreground, &well_written);
-        fg.raise(Resource::ScreenBright, 1.0, "lock held during session");
+        fg.raise(Resource::ScreenBright, 1.0, Reason::ServiceWakelock);
         let survived = kill(Phase::Foreground, Phase::Background, &well_written, &fg);
         assert_eq!(survived.occupancy(Resource::ScreenBright), 0.0);
 
@@ -281,5 +251,51 @@ mod tests {
         assert_eq!(edges(&both).len(), 6);
         let headless = facts(AppManifest::builder("com.b").build());
         assert!(edges(&headless).is_empty(), "no components, no transitions");
+    }
+
+    #[test]
+    fn generated_reasons_have_distinct_labels_and_sorted_causes() {
+        // Every permission combination the transfer gates on, with and
+        // without a behaviour profile, in every phase.
+        let gated = [
+            Permission::Camera,
+            Permission::WakeLock,
+            Permission::WriteSettings,
+        ];
+        let mut raised: Vec<Reason> = Vec::new();
+        for mask in 0..(1 << gated.len()) {
+            let mut builder = AppManifest::builder("com.a");
+            for (bit, &permission) in gated.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    builder = builder.permission(permission);
+                }
+            }
+            let bare = facts(builder.build());
+            let mut profiled = bare.clone();
+            profiled.background_util = Some(0.25);
+            for app in [&bare, &profiled] {
+                for phase in Phase::ALL {
+                    let state = generate(phase, app);
+                    for resource in Resource::ALL {
+                        let causes: Vec<&str> = state.causes(resource).collect();
+                        assert!(
+                            causes.windows(2).all(|pair| pair[0] < pair[1]),
+                            "{phase:?}/{resource:?} causes not strictly sorted: {causes:?}"
+                        );
+                        for reason in state.reasons(resource) {
+                            if !raised.contains(&reason) {
+                                raised.push(reason);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        raised.sort();
+        assert_eq!(raised, Reason::ALL.to_vec(), "every reason is raised");
+        let mut labels: Vec<&str> = raised.iter().map(|reason| reason.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), raised.len(), "labels are distinct");
     }
 }

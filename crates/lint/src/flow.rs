@@ -7,6 +7,13 @@
 //! `U → T1 → T2` where each hop is an implicit intent another app answers
 //! — which is the static shadow of the paper's chain-attack propagation
 //! (Algorithm 1 merges collateral maps along exactly these edges).
+//!
+//! The context also composes the cross-app evidence once per app set:
+//! every exported activity and service as `pkg/Name`, and every draining
+//! app with its background demand, each rendered once, sorted and tagged
+//! with its owner ([`OwnedItems`]). A rule checking one app reads these
+//! lists and skips that app's own entries, so a pass over `n` apps
+//! renders `O(n)` strings rather than `O(n²)`.
 
 use std::collections::BTreeMap;
 
@@ -41,22 +48,67 @@ pub struct Chain {
     pub second: Handler,
 }
 
+/// Evidence items rendered once per app set, each tagged with the app
+/// that owns it, in sorted item order.
+#[derive(Debug)]
+pub(crate) struct OwnedItems {
+    /// `(item, owning app index)`, sorted.
+    items: Vec<(String, usize)>,
+    /// Items owned by each app, indexed like [`LintContext::apps`].
+    owned: Vec<usize>,
+}
+
+impl OwnedItems {
+    fn new(apps: usize, mut items: Vec<(String, usize)>) -> OwnedItems {
+        items.sort_unstable();
+        let mut owned = vec![0; apps];
+        for &(_, owner) in &items {
+            owned[owner] += 1;
+        }
+        OwnedItems { items, owned }
+    }
+
+    /// How many items apps other than `origin` own.
+    pub(crate) fn count_others(&self, origin: usize) -> usize {
+        self.items.len() - self.owned.get(origin).copied().unwrap_or(0)
+    }
+
+    /// Items of apps other than `origin`, in sorted order.
+    pub(crate) fn others(&self, origin: usize) -> impl Iterator<Item = &str> {
+        self.items
+            .iter()
+            .filter(move |(_, owner)| *owner != origin)
+            .map(|(item, _)| item.as_str())
+    }
+}
+
 /// The cross-app state shared by every rule invocation.
 #[derive(Debug)]
 pub struct LintContext {
     apps: Vec<AppFacts>,
     /// action → exported handlers, ordered by (app, component).
     handlers: BTreeMap<String, Vec<Handler>>,
+    /// Exported activities as `pkg/Name` (EA0001's victims).
+    exported_activities: OwnedItems,
+    /// Exported services as `pkg/Name` (EA0003's victims).
+    exported_services: OwnedItems,
+    /// Apps with known non-zero background demand, as
+    /// `pkg (background demand X cores)` (EA0002's draining victims).
+    draining: OwnedItems,
     /// The abstract-interpretation fixpoint over this app set.
     absint: AbsintSolution,
 }
 
 impl LintContext {
-    /// Builds the context, runs the intent-flow pass, and solves the
-    /// abstract-interpretation fixpoint (priced through the Nexus-4
-    /// calibration, the device the simulator drains with).
+    /// Builds the context, runs the intent-flow pass, composes the
+    /// cross-app evidence lists, and solves the abstract-interpretation
+    /// fixpoint (priced through the Nexus-4 calibration, the device the
+    /// simulator drains with).
     pub fn new(apps: Vec<AppFacts>) -> LintContext {
         let mut handlers: BTreeMap<String, Vec<Handler>> = BTreeMap::new();
+        let mut activities = Vec::new();
+        let mut services = Vec::new();
+        let mut draining = Vec::new();
         for (index, facts) in apps.iter().enumerate() {
             for decl in facts.manifest.components.iter().filter(|d| d.exported) {
                 for action in &decl.intent_actions {
@@ -66,11 +118,27 @@ impl LintContext {
                         kind: decl.kind,
                     });
                 }
+                let victims = match decl.kind {
+                    ComponentKind::Activity => &mut activities,
+                    ComponentKind::Service => &mut services,
+                    ComponentKind::Receiver => continue,
+                };
+                victims.push((format!("{}/{}", facts.package, decl.name), index));
+            }
+            let demand = facts.background_util.unwrap_or(0.0);
+            if demand > 0.0 {
+                draining.push((
+                    format!("{} (background demand {demand:.2} cores)", facts.package),
+                    index,
+                ));
             }
         }
         let pricer = Pricer::new(DevicePowerModel::nexus4().coefficients());
         let absint = AbsintSolution::solve(&apps, &handlers, &pricer, usize::MAX);
         LintContext {
+            exported_activities: OwnedItems::new(apps.len(), activities),
+            exported_services: OwnedItems::new(apps.len(), services),
+            draining: OwnedItems::new(apps.len(), draining),
             apps,
             handlers,
             absint,
@@ -92,13 +160,20 @@ impl LintContext {
         &self.handlers
     }
 
-    /// Apps other than the one at `index`.
-    pub fn others(&self, index: usize) -> impl Iterator<Item = &AppFacts> {
-        self.apps
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| *i != index)
-            .map(|(_, facts)| facts)
+    /// Every app's exported activities, as `pkg/Name`.
+    pub(crate) fn exported_activities(&self) -> &OwnedItems {
+        &self.exported_activities
+    }
+
+    /// Every app's exported services, as `pkg/Name`.
+    pub(crate) fn exported_services(&self) -> &OwnedItems {
+        &self.exported_services
+    }
+
+    /// Every app with known non-zero background demand, as
+    /// `pkg (background demand X cores)`.
+    pub(crate) fn draining(&self) -> &OwnedItems {
+        &self.draining
     }
 
     /// Exported handlers for an implicit `action`, across all apps.

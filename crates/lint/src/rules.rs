@@ -25,7 +25,7 @@ use ea_framework::{AndroidSystem, ComponentKind, Permission, WakelockPolicy};
 use crate::absint::PricedEnvelope;
 use crate::diagnostic::{Diagnostic, RuleId, Severity};
 use crate::facts::AppFacts;
-use crate::flow::LintContext;
+use crate::flow::{LintContext, OwnedItems};
 
 /// Cap on listed evidence items; the remainder collapses to `+N more`.
 const EVIDENCE_LIMIT: usize = 3;
@@ -93,6 +93,22 @@ fn clip(mut items: Vec<String>) -> Vec<String> {
     items
 }
 
+/// [`clip`] over the items of apps other than `origin` in a list the
+/// context composed once per app set: the same bytes, copying only the
+/// listed items. Returns the unclipped count alongside.
+fn clip_others(items: &OwnedItems, origin: usize) -> (usize, Vec<String>) {
+    let count = items.count_others(origin);
+    let mut evidence: Vec<String> = items
+        .others(origin)
+        .take(EVIDENCE_LIMIT)
+        .map(String::from)
+        .collect();
+    if count > EVIDENCE_LIMIT {
+        evidence.push(format!("+{} more", count - EVIDENCE_LIMIT));
+    }
+    (count, evidence)
+}
+
 /// `EA0001`: paper attack #1 — start an exported activity of another app
 /// over and over ("applications can be readily exploited through their
 /// app components").
@@ -108,15 +124,8 @@ impl Rule for ComponentHijackRule {
     }
 
     fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let targets: Vec<String> = ctx
-            .others(index)
-            .flat_map(|other| {
-                other
-                    .exported(ComponentKind::Activity)
-                    .map(move |decl| format!("{}/{}", other.package, decl.name))
-            })
-            .collect();
-        if targets.is_empty() {
+        let (targets, evidence) = clip_others(ctx.exported_activities(), index);
+        if targets == 0 {
             return None;
         }
         // Bound: the hottest victim held foreground all day, the rest
@@ -127,11 +136,8 @@ impl Rule for ComponentHijackRule {
             Severity::Info,
             facts,
             vec![AttackKind::ActivityStart],
-            format!(
-                "{} exported activities of other apps are startable from here",
-                targets.len()
-            ),
-            clip(targets),
+            format!("{targets} exported activities of other apps are startable from here"),
+            evidence,
             envelope,
         ))
     }
@@ -154,22 +160,12 @@ impl Rule for BackgroundSprayRule {
     }
 
     fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let neighbors = ctx.others(index).count();
+        let neighbors = ctx.apps().len().saturating_sub(1);
         if neighbors == 0 {
             return None;
         }
-        let draining: Vec<String> = ctx
-            .others(index)
-            .filter(|other| other.background_util.unwrap_or(0.0) > 0.0)
-            .map(|other| {
-                format!(
-                    "{} (background demand {:.2} cores)",
-                    other.package,
-                    other.background_util.unwrap_or(0.0)
-                )
-            })
-            .collect();
-        let severity = if draining.is_empty() {
+        let (draining, evidence) = clip_others(ctx.draining(), index);
+        let severity = if draining == 0 {
             Severity::Info
         } else {
             Severity::Warning
@@ -183,7 +179,7 @@ impl Rule for BackgroundSprayRule {
                 "{neighbors} co-installed app(s) can be pushed to the background \
                  (task reordering needs no permission)"
             ),
-            clip(draining),
+            evidence,
             // Bound: every co-installed app displaced into its background
             // envelope at once.
             ctx.absint().spray_envelope(index),
@@ -205,15 +201,8 @@ impl Rule for ServiceTetherRule {
     }
 
     fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let targets: Vec<String> = ctx
-            .others(index)
-            .flat_map(|other| {
-                other
-                    .exported(ComponentKind::Service)
-                    .map(move |decl| format!("{}/{}", other.package, decl.name))
-            })
-            .collect();
-        if targets.is_empty() {
+        let (targets, evidence) = clip_others(ctx.exported_services(), index);
+        if targets == 0 {
             return None;
         }
         Some(diagnostic(
@@ -221,11 +210,8 @@ impl Rule for ServiceTetherRule {
             Severity::Warning,
             facts,
             vec![AttackKind::ServiceBind, AttackKind::ServiceStart],
-            format!(
-                "{} exported services of other apps are bindable from here",
-                targets.len()
-            ),
-            clip(targets),
+            format!("{targets} exported services of other apps are bindable from here"),
+            evidence,
             // Bound: every foreign exported service bound concurrently.
             ctx.absint().tether_envelope(index),
         ))
@@ -517,10 +503,95 @@ impl Rule for AttackChainRule {
     }
 }
 
+/// The per-origin evidence builder EA0001–EA0003 used before the context
+/// composed cross-app evidence once per app set: for each origin, render
+/// every other app's items, then sort and clip. Kept as the oracle the
+/// once-per-set lists must match byte for byte.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// `(message, evidence, severity)` of one rule's finding.
+    pub type Finding = (String, Vec<String>, Severity);
+
+    fn others(ctx: &LintContext, index: usize) -> impl Iterator<Item = &AppFacts> {
+        ctx.apps()
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| *i != index)
+            .map(|(_, facts)| facts)
+    }
+
+    fn exported(ctx: &LintContext, index: usize, kind: ComponentKind) -> Vec<String> {
+        others(ctx, index)
+            .flat_map(|other| {
+                other
+                    .exported(kind)
+                    .map(move |decl| format!("{}/{}", other.package, decl.name))
+            })
+            .collect()
+    }
+
+    /// EA0001.
+    pub fn hijack(ctx: &LintContext, index: usize) -> Option<Finding> {
+        let targets = exported(ctx, index, ComponentKind::Activity);
+        if targets.is_empty() {
+            return None;
+        }
+        let message = format!(
+            "{} exported activities of other apps are startable from here",
+            targets.len()
+        );
+        Some((message, clip(targets), Severity::Info))
+    }
+
+    /// EA0002.
+    pub fn spray(ctx: &LintContext, index: usize) -> Option<Finding> {
+        let neighbors = others(ctx, index).count();
+        if neighbors == 0 {
+            return None;
+        }
+        let draining: Vec<String> = others(ctx, index)
+            .filter(|other| other.background_util.unwrap_or(0.0) > 0.0)
+            .map(|other| {
+                format!(
+                    "{} (background demand {:.2} cores)",
+                    other.package,
+                    other.background_util.unwrap_or(0.0)
+                )
+            })
+            .collect();
+        let severity = if draining.is_empty() {
+            Severity::Info
+        } else {
+            Severity::Warning
+        };
+        let message = format!(
+            "{neighbors} co-installed app(s) can be pushed to the background \
+             (task reordering needs no permission)"
+        );
+        Some((message, clip(draining), severity))
+    }
+
+    /// EA0003.
+    pub fn tether(ctx: &LintContext, index: usize) -> Option<Finding> {
+        let targets = exported(ctx, index, ComponentKind::Service);
+        if targets.is_empty() {
+            return None;
+        }
+        let message = format!(
+            "{} exported services of other apps are bindable from here",
+            targets.len()
+        );
+        Some((message, clip(targets), Severity::Warning))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ea_framework::AppManifest;
+    use proptest::prelude::*;
 
     fn facts_of(manifests: &[AppManifest]) -> LintContext {
         LintContext::new(manifests.iter().map(AppFacts::from_manifest).collect())
@@ -730,6 +801,90 @@ mod tests {
             "legacy pass would have fired"
         );
         assert!(check_one(&AttackChainRule, &ctx, 0).is_none());
+    }
+
+    /// Generator-side description of one app: a package from a small
+    /// pool (duplicates across apps happen), up to four `(kind, name,
+    /// exported)` components whose names also collide across apps, and a
+    /// behaviour-profile demand.
+    type AppSpec = (usize, Vec<(u8, usize, bool)>, Option<f64>);
+
+    fn app_strategy() -> impl Strategy<Value = AppSpec> {
+        (
+            0usize..4,
+            proptest::collection::vec((0u8..3, 0usize..3, any::<bool>()), 0..5),
+            proptest::option::of(prop_oneof![Just(0.0), 0.0f64..1.5]),
+        )
+    }
+
+    fn app_facts(spec: &AppSpec) -> AppFacts {
+        const NAMES: [&str; 3] = ["Main", "Sync", "Open"];
+        let (package, components, demand) = spec;
+        let mut builder = AppManifest::builder(format!("com.evidence.app{package}"));
+        for &(kind, name, exported) in components {
+            builder = match kind {
+                0 => builder.activity(NAMES[name], exported),
+                1 => builder.service(NAMES[name], exported),
+                _ => builder.receiver(NAMES[name], exported, &["evidence.PING"]),
+            };
+        }
+        let mut facts = AppFacts::from_manifest(&builder.build());
+        facts.background_util = *demand;
+        facts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn once_per_set_evidence_matches_the_per_origin_oracle(
+            specs in proptest::collection::vec(app_strategy(), 1..9),
+        ) {
+            let ctx = LintContext::new(specs.iter().map(app_facts).collect());
+            type Oracle = fn(&LintContext, usize) -> Option<oracle::Finding>;
+            let rules: [(&dyn Rule, Oracle); 3] = [
+                (&ComponentHijackRule, oracle::hijack),
+                (&BackgroundSprayRule, oracle::spray),
+                (&ServiceTetherRule, oracle::tether),
+            ];
+            for index in 0..ctx.apps().len() {
+                for (rule, expected) in rules {
+                    let actual = check_one(rule, &ctx, index)
+                        .map(|diag| (diag.message, diag.evidence, diag.severity));
+                    prop_assert_eq!(actual, expected(&ctx, index), "{:?} app {}", rule.id(), index);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn evidence_clips_past_the_limit_with_a_count() {
+        // Five foreign exported activities, two sharing a name: the
+        // listing keeps the first three in sorted order, then `+2 more`.
+        let ctx = facts_of(&[
+            AppManifest::builder("com.origin")
+                .activity("Main", true)
+                .build(),
+            AppManifest::builder("com.b")
+                .activity("Main", true)
+                .activity("Zed", true)
+                .build(),
+            AppManifest::builder("com.a")
+                .activity("Main", true)
+                .activity("Alt", true)
+                .build(),
+            AppManifest::builder("com.c").activity("Main", true).build(),
+        ]);
+        let diag = check_one(&ComponentHijackRule, &ctx, 0).unwrap();
+        assert_eq!(
+            diag.evidence,
+            vec!["com.a/Alt", "com.a/Main", "com.b/Main", "+2 more"]
+        );
+        assert!(diag.message.starts_with("5 exported activities"));
+        assert_eq!(
+            Some((diag.message, diag.evidence, diag.severity)),
+            oracle::hijack(&ctx, 0)
+        );
     }
 
     #[test]
