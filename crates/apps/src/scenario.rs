@@ -131,14 +131,6 @@ impl Scenario {
         self.run_on(AndroidSystem::new(), profiler)
     }
 
-    /// Runs the scenario on a caller-configured system — how the CLI and
-    /// the goldens drive the oracle axes (reference scheduler, reference
-    /// lifecycle) that must be set before the first install. The system
-    /// must be freshly booted: scenarios script from a cold start.
-    pub fn run_with(self, android: AndroidSystem, profiler: Profiler) -> RunOutput {
-        self.run_on(android, profiler)
-    }
-
     /// Runs the scenario with `sink` wired through every layer: the
     /// framework mirrors its events and kernel statistics, and the
     /// profiler emits attribution, battery, attack, and span telemetry.

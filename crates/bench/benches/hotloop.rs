@@ -1,38 +1,43 @@
-//! Hot-loop benchmark suite: the slot-interned, zero-alloc accounting
-//! path against the pre-optimization reference path, measured in the
-//! same process on the same workloads.
+//! Hot-loop benchmark suite: the profiler's innermost step, a device
+//! day, fleet shards, the serve ingest lane, telemetry, and the
+//! per-device lint pass, each timed next to a fixed calibration kernel
+//! in the same run.
 //!
-//! Three tiers, mirroring the hot loop's callers:
+//! Tiers, mirroring the hot loop's callers:
 //!
 //! * `single_step` — one steady-state [`Profiler::step`] on a loaded
 //!   handset with live collateral periods (the innermost unit of work);
 //! * `day_in_the_life` — a scripted multi-session device day, end to end;
-//! * `fleet_shard` — `ea_fleet` shards at 4 and 64 devices, devices/sec.
+//! * `fleet_shard` — `ea_fleet` shards at 4 and 64 devices.
 //!
-//! A `batch_step` pair sweeps 256 settled devices through the
-//! struct-of-arrays [`ea_fleet::BatchFleet`] against its per-device
-//! reference backend; the amortized per-device cost is gated at
-//! <100 ns.
+//! Absolute nanoseconds depend on the host. `calibration/kernel` is a
+//! std-only workload no change to the program can speed up or slow
+//! down, timed in every round; each tier's `ns / calibration_ns` is the
+//! machine-portable number the CI gate compares against the committed
+//! baseline.
 //!
 //! A `serve_ingest` pair measures the streaming service's SPSC ingest
 //! lane: events/sec through one ring (in 64-event batched slices, the
 //! service's shape), against a shared `Mutex<VecDeque>` baseline.
 //!
-//! A fourth pair (`telemetry/*`) measures the sink-off fast path: a
-//! profiler with no [`SinkHandle`] attached must cost the same as one
-//! that never heard of telemetry, and the sink-on overhead is recorded.
+//! A `telemetry/*` pair measures the sink-off fast path: a profiler with
+//! no [`SinkHandle`] attached must cost the same as one that never heard
+//! of telemetry, and the sink-on overhead is recorded.
 //!
 //! A `lint/device_16` row times the static pass every fleet device runs
 //! before its day: `Linter::lint_system` over a fixed 16-app handset.
 //!
 //! With `--test` the suite smoke-runs everything once. Otherwise it
 //! writes `BENCH_hotloop.json` at the repository root (schema
-//! `ea-bench/hotloop/v1`) — the committed baseline the CI regression
+//! `ea-bench/hotloop/v2`) — the committed baseline the CI regression
 //! gate compares against.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
-use criterion::{smoke_mode, take_measurements, BenchmarkId, Criterion, Measurement};
+use criterion::{black_box, smoke_mode, take_measurements, Criterion};
 use ea_apps::demo::{packages, DemoApps};
 use ea_apps::malware::Malware;
 use ea_core::{Profiler, ScreenPolicy};
@@ -44,9 +49,6 @@ use ea_power::Battery;
 use ea_sim::SimDuration;
 use ea_telemetry::Recorder;
 use serde::Serialize;
-
-/// Single-step speedup the hot-loop overhaul must deliver.
-const TARGET_SINGLE_STEP_SPEEDUP: f64 = 2.0;
 
 /// A handset in the steady state the profiler's hot loop actually sees:
 /// screen on, a foreground app, background audio, radio traffic on two
@@ -87,49 +89,36 @@ fn loaded_handset(profiler: &mut Profiler) -> AndroidSystem {
 }
 
 /// A profiler that cannot run out of battery inside a measurement window.
-fn bottomless(reference: bool) -> Profiler {
-    let profiler = Profiler::eandroid(ScreenPolicy::SeparateEntity)
+fn bottomless() -> Profiler {
+    Profiler::eandroid(ScreenPolicy::SeparateEntity)
         .with_step(SimDuration::from_millis(250))
-        .with_battery(Battery::with_capacity_mah(1.0e9, 3.8));
-    if reference {
-        profiler.with_reference_accounting()
-    } else {
-        profiler
-    }
+        .with_battery(Battery::with_capacity_mah(1.0e9, 3.8))
 }
 
-fn bench_single_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("single_step");
-    for (label, reference) in [("optimized", false), ("reference", true)] {
-        group.bench_with_input(BenchmarkId::new("step", label), &reference, |b, &refr| {
-            let mut profiler = bottomless(refr);
-            let mut android = loaded_handset(&mut profiler);
-            b.iter(|| {
-                android.note_user_activity();
-                profiler.step(&mut android);
-            });
-        });
+/// The calibration workload: allocation-heavy map churn shaped like the
+/// simulation's own work (string keys, B-tree nodes, short vectors),
+/// with random probes over a working set of ~16k entries so it feels
+/// cache pressure from a busy neighbour the way a fleet shard does. It
+/// uses only the standard library, so it measures the host, never the
+/// program.
+fn calibration_kernel() -> f64 {
+    let mut map: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    let mut acc = 0.0f64;
+    for i in 0..20_000u64 {
+        let key = format!("com.example.app{}", (i * 7_919) % 40_000);
+        map.entry(key).or_default().push(i);
+        let probe = format!("com.example.app{}", (i * 104_729) % 40_000);
+        acc += map.get(&probe).map_or(0.5, |hits| hits.len() as f64).sqrt();
     }
-    // The optimized step with windowed metrics accruing: the contract is
-    // that the window ring costs a branch and three adds per step, i.e.
-    // stays at the noise floor next to `step/optimized`.
-    group.bench_with_input(BenchmarkId::new("step", "metrics_on"), &(), |b, ()| {
-        let mut profiler = bottomless(false).with_metrics(ea_metrics::WindowSpec::default());
-        let mut android = loaded_handset(&mut profiler);
-        b.iter(|| {
-            android.note_user_activity();
-            profiler.step(&mut android);
-        });
-    });
-    group.finish();
+    acc + map.len() as f64
 }
 
 /// A deterministic scripted day: three sessions of attended use with app
 /// switches, radio bursts, and one background-app attack, each followed
-/// by pocketed idle. No RNG — both accounting paths replay the exact
-/// same event stream.
-fn scripted_day(reference: bool) -> Profiler {
-    let mut profiler = bottomless(reference);
+/// by pocketed idle. No RNG — every run replays the exact same event
+/// stream.
+fn scripted_day() -> Profiler {
+    let mut profiler = bottomless();
     let mut android = AndroidSystem::new();
     let apps = DemoApps::install_all(&mut android);
     let malware = Malware::install(&mut android);
@@ -169,88 +158,6 @@ fn scripted_day(reference: bool) -> Profiler {
     profiler
 }
 
-fn bench_day_in_the_life(c: &mut Criterion) {
-    let mut group = c.benchmark_group("day_in_the_life");
-    for (label, reference) in [("optimized", false), ("reference", true)] {
-        group.bench_with_input(BenchmarkId::new("device", label), &reference, |b, &refr| {
-            b.iter(|| scripted_day(refr));
-        });
-    }
-    group.finish();
-}
-
-fn bench_fleet_shard(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet_shard");
-    for (devices, parameter) in [(4usize, "devices_4"), (64, "devices_64")] {
-        for (label, reference) in [("optimized", false), ("reference", true)] {
-            let config = FleetConfig {
-                jobs: 1,
-                reference_accounting: reference,
-                ..FleetConfig::smoke(devices, 2_026)
-            };
-            group.bench_with_input(BenchmarkId::new(parameter, label), &config, |b, config| {
-                b.iter(|| run_fleet(config));
-            });
-        }
-    }
-    group.finish();
-}
-
-/// Devices per batch-kernel sweep; the row the <100 ns/device target is
-/// pinned on.
-const BATCH_DEVICES: usize = 256;
-
-/// Amortized per-device step budget for the settled batch fleet, in
-/// nanoseconds.
-const TARGET_BATCH_STEP_NS: f64 = 100.0;
-
-/// One fleet of [`BATCH_DEVICES`] settled handsets (screen on, radios
-/// quiet, tails long expired) on the requested backend, pre-stepped so
-/// the batch backend's steady-row cache is warm before measurement.
-fn settled_batch_fleet(reference: bool) -> ea_fleet::BatchFleet {
-    use ea_power::{DevicePowerModel, DeviceUsage, ScreenUsage};
-    use ea_sim::Uid;
-
-    let model = DevicePowerModel::nexus4();
-    let policy = ScreenPolicy::SeparateEntity;
-    let step = SimDuration::from_millis(250);
-    let mut fleet = if reference {
-        ea_fleet::BatchFleet::reference(model, policy, step)
-    } else {
-        ea_fleet::BatchFleet::new(model, policy, step)
-    };
-    for device in 0..BATCH_DEVICES {
-        let mut usage = DeviceUsage::idle();
-        let foreground = Uid::from_raw(Uid::FIRST_APP.as_raw() + device as u32 % 32);
-        usage.screen = ScreenUsage::on(120 + (device % 64) as u8, Some(foreground));
-        fleet.spawn(usage, Battery::with_capacity_mah(1.0e9, 3.8));
-    }
-    // Settle: radios were never touched, so one step warms the screen
-    // memo and (on the batch backend) installs every steady row.
-    for _ in 0..4 {
-        fleet.step();
-    }
-    fleet
-}
-
-/// The tentpole row: one struct-of-arrays sweep over 256 settled
-/// devices, against the per-device-model reference backend. The target
-/// is amortized per-device step cost under [`TARGET_BATCH_STEP_NS`].
-fn bench_batch_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_step");
-    for (label, reference) in [("batch", false), ("reference", true)] {
-        group.bench_with_input(
-            BenchmarkId::new("devices_256", label),
-            &reference,
-            |b, &refr| {
-                let mut fleet = settled_batch_fleet(refr);
-                b.iter(|| fleet.step());
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Events pushed through one ingest lane per timed transfer.
 const INGEST_EVENTS: usize = 16_384;
 
@@ -264,7 +171,10 @@ const INGEST_CAPACITY: usize = 1024;
 /// loop uses for its ingest lanes.
 const INGEST_BURST: usize = 64;
 
-/// Cross-thread throughput of one SPSC ingest lane (the `ea-serve` ring)
+/// One transfer through one SPSC ingest lane (the `ea-serve` ring): the
+/// ring side of the `serve_ingest` pair.
+///
+/// The pair measures the cross-thread throughput of the ring
 /// against the obvious baseline — a shared, bounded `Mutex<VecDeque>`
 /// with both sides spinning on the one lock. Each iteration moves
 /// [`INGEST_EVENTS`] join events producer-to-consumer, including the
@@ -272,98 +182,76 @@ const INGEST_BURST: usize = 64;
 /// slices (`push_slice`/`recv_slice`), the shape the service actually
 /// runs: one tail store and one head store per burst instead of per
 /// event.
-fn bench_serve_ingest(c: &mut Criterion) {
+fn ring_transfer() -> usize {
+    use ea_serve::LaneEvent;
+
+    let (producer, consumer) = ea_serve::ring::lane::<LaneEvent>(INGEST_CAPACITY);
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(move || {
+            let mut received = 0usize;
+            let mut burst = Vec::with_capacity(INGEST_BURST);
+            loop {
+                let got = consumer.recv_slice(&mut burst, INGEST_BURST);
+                if got == 0 {
+                    break;
+                }
+                received += got;
+                burst.clear();
+            }
+            received
+        });
+        let mut staged = Vec::with_capacity(INGEST_BURST);
+        for index in 0..INGEST_EVENTS {
+            staged.push(LaneEvent::Join { index });
+            if staged.len() == INGEST_BURST {
+                let _ = producer.push_slice(&mut staged);
+            }
+        }
+        let _ = producer.push_slice(&mut staged);
+        drop(producer);
+        worker.join().unwrap_or(0)
+    })
+}
+
+/// The baseline side of the `serve_ingest` pair.
+fn mutex_transfer() -> usize {
     use std::collections::VecDeque;
     use std::sync::Mutex;
 
     use ea_serve::LaneEvent;
 
-    let mut group = c.benchmark_group("serve_ingest");
-    group.bench_with_input(BenchmarkId::new("events_16384", "ring"), &(), |b, ()| {
-        b.iter(|| {
-            let (producer, consumer) = ea_serve::ring::lane::<LaneEvent>(INGEST_CAPACITY);
-            std::thread::scope(|scope| {
-                let worker = scope.spawn(move || {
-                    let mut received = 0usize;
-                    let mut burst = Vec::with_capacity(INGEST_BURST);
-                    loop {
-                        let got = consumer.recv_slice(&mut burst, INGEST_BURST);
-                        if got == 0 {
-                            break;
-                        }
-                        received += got;
-                        burst.clear();
-                    }
-                    received
-                });
-                let mut staged = Vec::with_capacity(INGEST_BURST);
-                for index in 0..INGEST_EVENTS {
-                    staged.push(LaneEvent::Join { index });
-                    if staged.len() == INGEST_BURST {
-                        let _ = producer.push_slice(&mut staged);
-                    }
+    let queue: Mutex<VecDeque<LaneEvent>> = Mutex::new(VecDeque::new());
+    let queue = &queue;
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(move || {
+            let mut received = 0usize;
+            while received < INGEST_EVENTS {
+                let popped = queue
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .pop_front();
+                match popped {
+                    Some(_) => received += 1,
+                    None => std::thread::yield_now(),
                 }
-                let _ = producer.push_slice(&mut staged);
-                drop(producer);
-                worker.join().unwrap_or(0)
-            })
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("events_16384", "mutex"), &(), |b, ()| {
-        b.iter(|| {
-            let queue: Mutex<VecDeque<LaneEvent>> = Mutex::new(VecDeque::new());
-            let queue = &queue;
-            std::thread::scope(|scope| {
-                let worker = scope.spawn(move || {
-                    let mut received = 0usize;
-                    while received < INGEST_EVENTS {
-                        let popped = queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .pop_front();
-                        match popped {
-                            Some(_) => received += 1,
-                            None => std::thread::yield_now(),
-                        }
-                    }
-                    received
-                });
-                for index in 0..INGEST_EVENTS {
-                    loop {
-                        let mut guard = queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        if guard.len() < INGEST_CAPACITY {
-                            guard.push_back(LaneEvent::Join { index });
-                            break;
-                        }
-                        drop(guard);
-                        std::thread::yield_now();
-                    }
-                }
-                worker.join().unwrap_or(0)
-            })
-        });
-    });
-    group.finish();
-}
-
-fn bench_telemetry(c: &mut Criterion) {
-    let mut group = c.benchmark_group("telemetry");
-    for (label, sink_on) in [("sink_off", false), ("sink_on", true)] {
-        group.bench_with_input(BenchmarkId::new("step", label), &sink_on, |b, &on| {
-            let mut profiler = bottomless(false);
-            if on {
-                profiler = profiler.with_telemetry(Arc::new(Recorder::new()));
             }
-            let mut android = loaded_handset(&mut profiler);
-            b.iter(|| {
-                android.note_user_activity();
-                profiler.step(&mut android);
-            });
+            received
         });
-    }
-    group.finish();
+        for index in 0..INGEST_EVENTS {
+            loop {
+                let mut guard = queue
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                if guard.len() < INGEST_CAPACITY {
+                    guard.push_back(LaneEvent::Join { index });
+                    break;
+                }
+                drop(guard);
+                std::thread::yield_now();
+            }
+        }
+        worker.join().unwrap_or(0)
+    })
 }
 
 /// Apps on the lint bench handset: the fleet's mean install set is 16.3
@@ -405,6 +293,137 @@ fn bench_lint(c: &mut Criterion) {
     group.finish();
 }
 
+/// Interleaved rounds behind each measured pair.
+const ROUNDS: usize = 41;
+
+/// Mean nanoseconds per call over `batch` back-to-back calls of `f`.
+fn time_ns(batch: u32, mut f: impl FnMut()) -> f64 {
+    let started = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    started.elapsed().as_nanos() as f64 / f64::from(batch)
+}
+
+/// A timed sample: nanoseconds per call of some workload.
+type Timer<'a> = Box<dyn FnMut() -> f64 + 'a>;
+
+/// One measured pair: `top` and the `bottom` it is divided by, with the
+/// number of workload calls in one `top` sample.
+struct Pair<'a> {
+    top: Timer<'a>,
+    bottom: Timer<'a>,
+    batch: u32,
+}
+
+/// The medians of one pair over the rounds.
+struct Paired {
+    /// `top / bottom`, each sample against the mean of the two `bottom`
+    /// timings around it.
+    ratio: f64,
+    top_ns: f64,
+    bottom_ns: f64,
+    /// `top` workload calls over all rounds.
+    calls: u64,
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Measures `N` pairs over `rounds` interleaved rounds. Each sample times
+/// `bottom`, then `top`, then `bottom` again, so both sides of a ratio
+/// see the same moment of a shared host; each round samples every pair
+/// once, so every ratio sees the same stretch of the run; and the median
+/// drops the samples a neighbour's burst landed on.
+fn measure_pairs<const N: usize>(rounds: usize, mut pairs: [Pair<'_>; N]) -> [Paired; N] {
+    let mut samples: [Vec<(f64, f64, f64)>; N] =
+        std::array::from_fn(|_| Vec::with_capacity(rounds));
+    for _ in 0..rounds {
+        for (pair, samples) in pairs.iter_mut().zip(&mut samples) {
+            let before = (pair.bottom)();
+            let top = (pair.top)();
+            let after = (pair.bottom)();
+            let bottom = (before + after) / 2.0;
+            samples.push((top / bottom, top, bottom));
+        }
+    }
+    let mut batches = pairs.iter().map(|pair| pair.batch);
+    samples.map(|samples| Paired {
+        ratio: median(samples.iter().map(|s| s.0).collect()),
+        top_ns: median(samples.iter().map(|s| s.1).collect()),
+        bottom_ns: median(samples.iter().map(|s| s.2).collect()),
+        calls: rounds as u64 * u64::from(batches.next().unwrap_or(1)),
+    })
+}
+
+/// One timing of the calibration kernel, in nanoseconds.
+fn kernel_ns() -> f64 {
+    time_ns(1, || {
+        black_box(calibration_kernel());
+    })
+}
+
+/// [`kernel_ns`] on a freshly spawned thread, where a fleet shard runs
+/// its devices: on a shared host the two CPUs can be loaded unevenly,
+/// and a new thread lands wherever the scheduler puts it.
+fn spawned_kernel_ns() -> f64 {
+    std::thread::scope(|scope| scope.spawn(kernel_ns).join().unwrap_or(f64::NAN))
+}
+
+/// `batch` calls of `f` per sample.
+fn timer<'a>(batch: u32, mut f: impl FnMut() + 'a) -> Timer<'a> {
+    Box::new(move || time_ns(batch, &mut f))
+}
+
+/// `steps` steady-state steps of `profiler` on its own loaded handset.
+fn stepper<'a>(mut profiler: Profiler, steps: u32) -> Timer<'a> {
+    let mut android = loaded_handset(&mut profiler);
+    timer(steps, move || {
+        android.note_user_activity();
+        profiler.step(&mut android);
+    })
+}
+
+/// `batch` calls of `f` per sample, paired against the calibration
+/// kernel timed by `kernel`.
+fn calibrated<'a>(batch: u32, kernel: fn() -> f64, f: impl FnMut() + 'a) -> Pair<'a> {
+    Pair {
+        top: timer(batch, f),
+        bottom: Box::new(kernel),
+        batch,
+    }
+}
+
+/// `steps` steps of one loaded handset with windowed metrics attached
+/// (top) and detached (bottom): the same profiler and handset on both
+/// sides, so the ratio is the metrics cost alone.
+fn metrics_toggle(cell: &RefCell<(Option<Profiler>, AndroidSystem)>, steps: u32) -> Pair<'_> {
+    let run = move |metrics: bool| {
+        let mut guard = cell.borrow_mut();
+        let (slot, android) = &mut *guard;
+        let mut profiler = slot
+            .take()
+            .expect("profiler is returned after every sample");
+        if metrics {
+            profiler = profiler.with_metrics(ea_metrics::WindowSpec::default());
+        }
+        let ns = time_ns(steps, || {
+            android.note_user_activity();
+            profiler.step(android);
+        });
+        profiler.take_metrics();
+        *slot = Some(profiler);
+        ns
+    };
+    Pair {
+        top: Box::new(move || run(true)),
+        bottom: Box::new(move || run(false)),
+        batch: steps,
+    }
+}
+
 #[derive(Serialize)]
 struct BenchEntry {
     label: String,
@@ -412,34 +431,34 @@ struct BenchEntry {
     iterations: u64,
 }
 
+/// Each tier's cost in calibration kernels: the median ratio over
+/// interleaved pairs (see [`measure_pairs`]). The CI gate compares these.
 #[derive(Serialize)]
-struct SpeedupSection {
+struct CalibratedSection {
+    /// Median calibration-kernel time beside `single_step` (for scale
+    /// only).
+    calibration_ns: f64,
     single_step: f64,
     day_in_the_life: f64,
     fleet_shard: f64,
     fleet_shard_64: f64,
-    batch_step: f64,
-    serve_ingest: f64,
-    target_single_step: f64,
-    single_step_meets_target: bool,
 }
 
 #[derive(Serialize)]
 struct TelemetrySection {
     sink_off_ns: f64,
     sink_on_ns: f64,
-    /// Cost of *disabled* telemetry: sink-off step vs the plain
-    /// single-step bench (identical code path — this bounds the noise
-    /// floor and proves the fast path adds nothing).
+    /// Cost of *disabled* telemetry: a sink-off step vs a plain step
+    /// (identical code path — this bounds the noise floor and proves the
+    /// fast path adds nothing).
     sink_off_overhead_pct: f64,
     sink_on_overhead_pct: f64,
 }
 
 #[derive(Serialize)]
 struct MetricsSection {
-    metrics_on_ns: f64,
-    /// Cost of the windowed-metrics ring in the optimized hot loop:
-    /// `single_step/step/metrics_on` vs `single_step/step/optimized`.
+    /// Cost of the windowed-metrics ring in the hot loop: a step with
+    /// metrics on vs a plain step, the median of interleaved pairs.
     /// Budget: <= 2 %.
     metrics_on_overhead_pct: f64,
 }
@@ -451,18 +470,8 @@ struct ServeSection {
     mutex_transfer_ns: f64,
     ring_events_per_sec: f64,
     mutex_events_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct BatchSection {
-    /// One full sweep over the 256-device settled fleet, batch backend.
-    batch_sweep_ns: f64,
-    reference_sweep_ns: f64,
-    devices: usize,
-    /// `batch_sweep_ns / devices` — the number the <100 ns target gates.
-    amortized_ns_per_device: f64,
-    target_ns_per_device: f64,
-    meets_target: bool,
+    /// Mutex over ring transfer time, the median of interleaved pairs.
+    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -478,116 +487,158 @@ struct LintSection {
 struct HotloopReport {
     schema: &'static str,
     benches: Vec<BenchEntry>,
-    speedup: SpeedupSection,
+    calibrated: CalibratedSection,
     telemetry: TelemetrySection,
     metrics: MetricsSection,
     serve: ServeSection,
-    batch: BatchSection,
     lint: LintSection,
 }
 
-/// The label's best (minimum) mean across repeat rounds.
-fn mean_of(measurements: &[Measurement], label: &str) -> f64 {
-    measurements
-        .iter()
-        .filter(|m| m.label == label)
-        .map(|m| m.mean_ns)
-        .min_by(|a, b| a.total_cmp(b))
-        .unwrap_or_else(|| panic!("benchmark {label} did not run"))
+/// Every timed row but the lint pass, measured in [`measure_pairs`]
+/// rounds. Runs first, while the process heap is fresh: the calibration
+/// kernel allocates, and its time drifts once other work has fragmented
+/// the heap.
+struct Measured {
+    single_step: Paired,
+    day_in_the_life: Paired,
+    fleet_shard: Paired,
+    fleet_shard_64: Paired,
+    /// Metrics-on step over a metrics-off step.
+    metrics: Paired,
+    /// Mutex transfer over ring transfer.
+    ingest: Paired,
+    /// Sink-off step over a plain step.
+    sink_off: Paired,
+    /// Sink-on step over a sink-off step.
+    sink_on: Paired,
+}
+
+fn measure(rounds: usize) -> Measured {
+    const STEPS: u32 = 4_096;
+    let shard = |devices| FleetConfig {
+        jobs: 1,
+        ..FleetConfig::smoke(devices, 2_026)
+    };
+    let (shard_4, shard_64) = (shard(4), shard(64));
+    let mut toggled_profiler = bottomless();
+    let toggled_android = loaded_handset(&mut toggled_profiler);
+    let toggled = RefCell::new((Some(toggled_profiler), toggled_android));
+    let traced = bottomless().with_telemetry(Arc::new(Recorder::new()));
+    let [single_step, day_in_the_life, fleet_shard, fleet_shard_64, metrics, ingest, sink_off, sink_on] =
+        measure_pairs(
+            rounds,
+            [
+                Pair {
+                    top: stepper(bottomless(), STEPS),
+                    bottom: Box::new(kernel_ns),
+                    batch: STEPS,
+                },
+                calibrated(4, kernel_ns, || {
+                    black_box(scripted_day());
+                }),
+                calibrated(2, spawned_kernel_ns, || {
+                    black_box(run_fleet(&shard_4));
+                }),
+                calibrated(1, spawned_kernel_ns, || {
+                    black_box(run_fleet(&shard_64));
+                }),
+                metrics_toggle(&toggled, 8 * STEPS),
+                Pair {
+                    top: timer(2, || {
+                        black_box(mutex_transfer());
+                    }),
+                    bottom: timer(2, || {
+                        black_box(ring_transfer());
+                    }),
+                    batch: 2,
+                },
+                Pair {
+                    top: stepper(bottomless(), STEPS),
+                    bottom: stepper(bottomless(), STEPS),
+                    batch: STEPS,
+                },
+                Pair {
+                    top: stepper(traced, STEPS),
+                    bottom: stepper(bottomless(), STEPS),
+                    batch: STEPS,
+                },
+            ],
+        );
+    Measured {
+        single_step,
+        day_in_the_life,
+        fleet_shard,
+        fleet_shard_64,
+        metrics,
+        ingest,
+        sink_off,
+        sink_on,
+    }
+}
+
+/// The lint pass, `rounds` times; its best (minimum) mean.
+fn lint_ns(criterion: &mut Criterion, rounds: usize) -> (f64, u64) {
+    for _ in 0..rounds {
+        bench_lint(criterion);
+    }
+    take_measurements()
+        .into_iter()
+        .map(|m| (m.mean_ns, m.iterations))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .unwrap_or_else(|| panic!("benchmark lint/device_16 did not run"))
 }
 
 fn main() {
     let mut criterion = Criterion::default().configure_from_args();
-    // Repeat the whole suite and keep each label's *minimum* mean: on a
-    // shared host the min is far more stable than any single window, and
-    // the reference/optimized ratio is what the gate consumes.
-    let rounds = if smoke_mode() { 1 } else { 3 };
-    for round in 0..rounds {
-        if rounds > 1 {
-            println!("--- round {}/{rounds} ---", round + 1);
-        }
-        bench_single_step(&mut criterion);
-        bench_day_in_the_life(&mut criterion);
-        bench_fleet_shard(&mut criterion);
-        bench_batch_step(&mut criterion);
-        bench_serve_ingest(&mut criterion);
-        bench_telemetry(&mut criterion);
-        bench_lint(&mut criterion);
-    }
-
-    let measurements = take_measurements();
     if smoke_mode() {
-        println!(
-            "smoke mode: {} benches ran once, BENCH_hotloop.json not rewritten",
-            measurements.len()
-        );
+        measure(1);
+        lint_ns(&mut criterion, 1);
+        println!("smoke mode: every row ran once, BENCH_hotloop.json not rewritten");
         return;
     }
+    let measured = measure(ROUNDS);
+    // Repeat the lint pass and keep its *minimum* mean: on a shared host
+    // the min is far more stable than any single window.
+    let (lint_device, lint_iterations) = lint_ns(&mut criterion, 3);
 
-    let step_opt = mean_of(&measurements, "single_step/step/optimized");
-    let step_ref = mean_of(&measurements, "single_step/step/reference");
-    let day_opt = mean_of(&measurements, "day_in_the_life/device/optimized");
-    let day_ref = mean_of(&measurements, "day_in_the_life/device/reference");
-    let fleet_opt = mean_of(&measurements, "fleet_shard/devices_4/optimized");
-    let fleet_ref = mean_of(&measurements, "fleet_shard/devices_4/reference");
-    let fleet64_opt = mean_of(&measurements, "fleet_shard/devices_64/optimized");
-    let fleet64_ref = mean_of(&measurements, "fleet_shard/devices_64/reference");
-    let batch_sweep = mean_of(&measurements, "batch_step/devices_256/batch");
-    let batch_ref_sweep = mean_of(&measurements, "batch_step/devices_256/reference");
-    let ingest_ring = mean_of(&measurements, "serve_ingest/events_16384/ring");
-    let ingest_mutex = mean_of(&measurements, "serve_ingest/events_16384/mutex");
-    let sink_off = mean_of(&measurements, "telemetry/step/sink_off");
-    let sink_on = mean_of(&measurements, "telemetry/step/sink_on");
-    let metrics_on = mean_of(&measurements, "single_step/step/metrics_on");
-    let lint_device = mean_of(&measurements, "lint/device_16");
-
-    let speedup = SpeedupSection {
-        single_step: step_ref / step_opt,
-        day_in_the_life: day_ref / day_opt,
-        fleet_shard: fleet_ref / fleet_opt,
-        fleet_shard_64: fleet64_ref / fleet64_opt,
-        batch_step: batch_ref_sweep / batch_sweep,
-        serve_ingest: ingest_mutex / ingest_ring,
-        target_single_step: TARGET_SINGLE_STEP_SPEEDUP,
-        single_step_meets_target: step_ref / step_opt >= TARGET_SINGLE_STEP_SPEEDUP,
-    };
-    let telemetry = TelemetrySection {
-        sink_off_ns: sink_off,
-        sink_on_ns: sink_on,
-        sink_off_overhead_pct: (sink_off / step_opt - 1.0) * 100.0,
-        sink_on_overhead_pct: (sink_on / sink_off - 1.0) * 100.0,
+    let calibrated = CalibratedSection {
+        calibration_ns: measured.single_step.bottom_ns,
+        single_step: measured.single_step.ratio,
+        day_in_the_life: measured.day_in_the_life.ratio,
+        fleet_shard: measured.fleet_shard.ratio,
+        fleet_shard_64: measured.fleet_shard_64.ratio,
     };
     println!(
-        "\nspeedup (reference / optimized): single_step {:.2}x | day {:.2}x | fleet {:.2}x | fleet64 {:.2}x",
-        speedup.single_step, speedup.day_in_the_life, speedup.fleet_shard, speedup.fleet_shard_64
+        "ns / calibration_ns: single_step {:.5} | day {:.3} | fleet {:.2} | fleet64 {:.2} \
+         (calibration {:.1} us)",
+        calibrated.single_step,
+        calibrated.day_in_the_life,
+        calibrated.fleet_shard,
+        calibrated.fleet_shard_64,
+        calibrated.calibration_ns / 1e3
     );
+    let telemetry = TelemetrySection {
+        sink_off_ns: measured.sink_off.top_ns,
+        sink_on_ns: measured.sink_on.top_ns,
+        sink_off_overhead_pct: (measured.sink_off.ratio - 1.0) * 100.0,
+        sink_on_overhead_pct: (measured.sink_on.ratio - 1.0) * 100.0,
+    };
+    let (ring, mutex) = (measured.ingest.bottom_ns, measured.ingest.top_ns);
     let serve = ServeSection {
-        ring_transfer_ns: ingest_ring,
-        mutex_transfer_ns: ingest_mutex,
-        ring_events_per_sec: INGEST_EVENTS as f64 / (ingest_ring * 1e-9),
-        mutex_events_per_sec: INGEST_EVENTS as f64 / (ingest_mutex * 1e-9),
+        ring_transfer_ns: ring,
+        mutex_transfer_ns: mutex,
+        ring_events_per_sec: INGEST_EVENTS as f64 / (ring * 1e-9),
+        mutex_events_per_sec: INGEST_EVENTS as f64 / (mutex * 1e-9),
+        speedup: measured.ingest.ratio,
     };
     println!(
         "serve ingest: ring {:.2}M events/s | mutex {:.2}M events/s | {:.2}x",
         serve.ring_events_per_sec / 1e6,
         serve.mutex_events_per_sec / 1e6,
-        speedup.serve_ingest
-    );
-    let batch = BatchSection {
-        batch_sweep_ns: batch_sweep,
-        reference_sweep_ns: batch_ref_sweep,
-        devices: BATCH_DEVICES,
-        amortized_ns_per_device: batch_sweep / BATCH_DEVICES as f64,
-        target_ns_per_device: TARGET_BATCH_STEP_NS,
-        meets_target: batch_sweep / (BATCH_DEVICES as f64) < TARGET_BATCH_STEP_NS,
-    };
-    println!(
-        "batch step: {:.1} ns/device amortized over {} devices (target < {:.0} ns) | {:.2}x vs per-device models",
-        batch.amortized_ns_per_device, batch.devices, batch.target_ns_per_device, speedup.batch_step
+        serve.speedup
     );
     let metrics = MetricsSection {
-        metrics_on_ns: metrics_on,
-        metrics_on_overhead_pct: (metrics_on / step_opt - 1.0) * 100.0,
+        metrics_on_overhead_pct: (measured.metrics.ratio - 1.0) * 100.0,
     };
     println!(
         "telemetry: sink-off overhead {:+.2}% (noise floor) | sink-on overhead {:+.2}%",
@@ -597,7 +648,6 @@ fn main() {
         "metrics: windowed-ring overhead {:+.2}% (budget 2%)",
         metrics.metrics_on_overhead_pct
     );
-
     let lint = LintSection {
         device_16_ns: lint_device,
         parent_device_16_ns: LINT_DEVICE_16_PARENT_NS,
@@ -610,30 +660,61 @@ fn main() {
         lint.parent_device_16_ns / 1e3
     );
 
-    // One entry per label: the best round (matching what the ratios use).
-    let mut benches: Vec<BenchEntry> = Vec::new();
-    for m in &measurements {
-        match benches.iter_mut().find(|entry| entry.label == m.label) {
-            Some(entry) if m.mean_ns < entry.mean_ns => {
-                entry.mean_ns = m.mean_ns;
-                entry.iterations = m.iterations;
-            }
-            Some(_) => {}
-            None => benches.push(BenchEntry {
-                label: m.label.clone(),
-                mean_ns: m.mean_ns,
-                iterations: m.iterations,
-            }),
-        }
-    }
+    // One row per timed workload: the medians behind the ratios above,
+    // and the lint pass's best round.
+    let row = |label: &str, mean_ns: f64, iterations: u64| BenchEntry {
+        label: label.to_string(),
+        mean_ns,
+        iterations,
+    };
+    let step = &measured.single_step;
+    let benches = vec![
+        row("calibration/kernel", step.bottom_ns, 2 * ROUNDS as u64),
+        row("single_step/step", step.top_ns, step.calls),
+        row(
+            "day_in_the_life/device",
+            measured.day_in_the_life.top_ns,
+            measured.day_in_the_life.calls,
+        ),
+        row(
+            "fleet_shard/devices_4",
+            measured.fleet_shard.top_ns,
+            measured.fleet_shard.calls,
+        ),
+        row(
+            "fleet_shard/devices_64",
+            measured.fleet_shard_64.top_ns,
+            measured.fleet_shard_64.calls,
+        ),
+        row(
+            "serve_ingest/events_16384/ring",
+            ring,
+            2 * measured.ingest.calls,
+        ),
+        row(
+            "serve_ingest/events_16384/mutex",
+            mutex,
+            measured.ingest.calls,
+        ),
+        row(
+            "telemetry/step/sink_off",
+            measured.sink_off.top_ns,
+            measured.sink_off.calls,
+        ),
+        row(
+            "telemetry/step/sink_on",
+            measured.sink_on.top_ns,
+            measured.sink_on.calls,
+        ),
+        row("lint/device_16", lint_device, lint_iterations),
+    ];
     let report = HotloopReport {
-        schema: "ea-bench/hotloop/v1",
+        schema: "ea-bench/hotloop/v2",
         benches,
-        speedup,
+        calibrated,
         telemetry,
         metrics,
         serve,
-        batch,
         lint,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotloop.json");

@@ -22,12 +22,6 @@ struct FleetScaleReport {
     host_cpus: usize,
     report_sha_stable: bool,
     rows: Vec<ScaleRow>,
-    /// Sequential devices/sec on the pre-optimization reference
-    /// accounting path (same fleet, same report bytes).
-    reference_devices_per_sec: f64,
-    /// Sequential optimized devices/sec over reference devices/sec: the
-    /// hot-loop overhaul's uplift on the full fleet workload.
-    hotpath_uplift: f64,
 }
 
 fn main() {
@@ -106,32 +100,6 @@ fn main() {
         });
     }
 
-    // One sequential pass on the reference accounting path: same report
-    // bytes by contract, but the pre-optimization per-device cost. The
-    // ratio against the sequential optimized row is the hot-loop uplift.
-    config.jobs = 1;
-    config.reference_accounting = true;
-    let _span = trace.as_ref().map(|t| t.span("fleet_reference"));
-    let (reference_report, reference_stats) = run_fleet(&config);
-    drop(_span);
-    if let Some(baseline) = &baseline_json {
-        if *baseline != render::to_json(&reference_report) {
-            stable = false;
-            eprintln!("ERROR: reference-path report differs from optimized run");
-        }
-    }
-    let uplift = if reference_stats.devices_per_sec > 0.0 {
-        rows.first()
-            .map(|row| row.devices_per_sec / reference_stats.devices_per_sec)
-            .unwrap_or(0.0)
-    } else {
-        0.0
-    };
-    println!(
-        "reference: {:>8.1} ms | {:>8.1} devices/s | hot-path uplift {:>5.2}x",
-        reference_stats.wall_ms, reference_stats.devices_per_sec, uplift
-    );
-
     if !stable {
         eprintln!("fleet_scale: determinism contract violated");
         std::process::exit(1);
@@ -145,8 +113,6 @@ fn main() {
             host_cpus: all_cores,
             report_sha_stable: stable,
             rows,
-            reference_devices_per_sec: reference_stats.devices_per_sec,
-            hotpath_uplift: uplift,
         },
     );
     if let Some(trace) = &trace {

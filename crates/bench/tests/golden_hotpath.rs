@@ -1,491 +1,667 @@
-//! Golden byte-identity tests for the hot-loop overhaul.
+//! Absolute byte goldens for every artifact the paper's figures and the
+//! fleet report are built from.
 //!
-//! The slot-interned, zero-alloc accounting path is an *optimization*,
-//! not a semantic change: every serialized ledger, collateral graph,
-//! figure series, and fleet report must be byte-for-byte identical to
-//! what the pre-optimization reference path produces. These tests pin
-//! that contract on the exact artifacts the paper's figures are built
-//! from (fig01's scenario, fig03's depletion curves, fig08's hybrid
-//! chain) and on the fleet report at several worker counts.
+//! Each pin is a committed 64-bit FNV-1a fingerprint of serialized
+//! output, so a change that moves a byte fails here even when every
+//! code path moves it the same way:
+//!
+//! * ledger, collateral graph and battery-drained bits of all 14
+//!   scenarios, on both power kernels;
+//! * fig01's stock-Android profile, fig08's hybrid chain, a fine-step
+//!   (50 ms) profile, and every fig03 depletion curve;
+//! * the fleet report at `--jobs` 1/4/8 and the streamed report at
+//!   `--lanes` 1/2/5, on both power kernels;
+//! * each of the above with no plan and under an active fault plan.
+//!
+//! A deliberate output change updates the constants: a failing test
+//! prints its whole regenerated table, and the change says why.
 
-use ea_apps::{run_depletion, run_depletion_reference, DepletionCase, Scenario};
+use ea_apps::{run_depletion, run_depletion_chaos, DepletionCase, DepletionCurve, Scenario};
+use ea_chaos::FaultPlan;
 use ea_core::{Profiler, ScreenPolicy};
 use ea_fleet::{render, run_fleet, FleetConfig};
+use ea_serve::{run_serve, ServeConfig};
 use ea_sim::SimDuration;
 
-/// Serialized `(ledger, collateral graph, battery-drained bits)` of one
-/// scenario run — everything a figure binary reads.
-fn fingerprint(scenario: Scenario, profiler: Profiler) -> (String, String, u64) {
-    let run = scenario.run(profiler);
-    let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
-    let graph = match run.profiler.collateral() {
-        Some(graph) => serde_json::to_string(graph).expect("serialize graph"),
-        None => String::new(),
-    };
-    let drained = run.profiler.battery().drained().as_joules().to_bits();
-    (ledger, graph, drained)
+/// `(scenario, [ledger, graph, drained bits])` with no fault plan.
+const SCENARIOS: [(&str, [u64; 3]); 14] = [
+    (
+        "scene1_message_video",
+        [
+            0xa1f4_d99d_a0da_4dc3,
+            0x3178_d20a_6dd7_65b9,
+            0x4059_dd73_6971_4ef6,
+        ],
+    ),
+    (
+        "scene2_hybrid_chain",
+        [
+            0xd32e_6c48_eba4_fd63,
+            0xdbc6_cb1b_325d_02c8,
+            0x4057_712b_f3db_b128,
+        ],
+    ),
+    (
+        "attack1_camera_hijack",
+        [
+            0x522b_5bcd_b960_5b99,
+            0x4f26_8793_4ee1_6a72,
+            0x4063_2765_2bb7_a8b1,
+        ],
+    ),
+    (
+        "attack2_background_apps",
+        [
+            0xaa2f_c1b6_2f82_ab9e,
+            0xb005_b246_938f_0a69,
+            0x4051_aa90_ff5e_ee17,
+        ],
+    ),
+    (
+        "attack3_bind_service",
+        [
+            0x7394_062f_043a_cf39,
+            0xdd3b_f703_2a5a_7267,
+            0x4052_2b4d_69dd_e7f4,
+        ],
+    ),
+    (
+        "attack4_interrupt",
+        [
+            0x2404_5782_5f81_9aad,
+            0x1913_0aed_ced4_4dc3,
+            0x404f_ad21_febd_db62,
+        ],
+    ),
+    (
+        "attack5_brightness",
+        [
+            0x4fcb_74c9_982e_c022,
+            0x4a74_1f7f_c93c_29f1,
+            0x404f_6fb0_4918_00d9,
+        ],
+    ),
+    (
+        "normal5_brightness",
+        [
+            0x1e0c_8d2e_2266_5fc9,
+            0x0961_2b07_b5ec_b5a5,
+            0x4044_b388_44be_f7ce,
+        ],
+    ),
+    (
+        "attack6_wakelock",
+        [
+            0xcd31_e3b8_6a44_a56c,
+            0x9de4_007a_e111_4bbf,
+            0x404d_25c8_1a90_b0ec,
+        ],
+    ),
+    (
+        "normal6_wakelock",
+        [
+            0x0ba5_b82e_f40a_8556,
+            0x0961_2b07_b5ec_b5a5,
+            0x4040_e275_0384_649e,
+        ],
+    ),
+    (
+        "multi_attack_same_victim",
+        [
+            0xe9e5_ed86_9fa9_e769,
+            0x361c_771a_efcb_9611,
+            0x4051_d171_be25_9a4c,
+        ],
+    ),
+    (
+        "hybrid_attack_chain",
+        [
+            0x2365_ed15_fbce_ea87,
+            0xe3c4_848f_a638_45e4,
+            0x4051_3e87_abd3_b8a7,
+        ],
+    ),
+    (
+        "attack5_auto_mode",
+        [
+            0x27ba_2d0c_0450_61ee,
+            0x5cb0_97e5_6691_6102,
+            0x4051_7e9b_b767_5e94,
+        ],
+    ),
+    (
+        "benign_no_sleep_bug",
+        [
+            0xd9ac_4ff3_eb83_75c0,
+            0x698e_3b7b_7aef_31f5,
+            0x4056_0600_0fd3_f207,
+        ],
+    ),
+];
+
+/// The same table under [`plan`] (scenario `i` runs on lane `i`).
+const SCENARIOS_FAULTED: [(&str, [u64; 3]); 14] = [
+    (
+        "scene1_message_video",
+        [
+            0x7e0d_3bfe_fbfb_acfb,
+            0x54c8_bdf2_f75d_0998,
+            0x4059_dd73_6971_4ef6,
+        ],
+    ),
+    (
+        "scene2_hybrid_chain",
+        [
+            0xfefb_95bd_df65_1bfa,
+            0x1d81_ade5_5bd4_d0ef,
+            0x4057_712b_f3db_b128,
+        ],
+    ),
+    (
+        "attack1_camera_hijack",
+        [
+            0xcbbd_09da_de6d_49b0,
+            0x8004_d1d1_1a66_929b,
+            0x4063_2765_2bb7_a8b1,
+        ],
+    ),
+    (
+        "attack2_background_apps",
+        [
+            0x2932_bad6_0b21_d0da,
+            0x608c_8fa8_48b5_4985,
+            0x4051_aa90_ff5e_ee17,
+        ],
+    ),
+    (
+        "attack3_bind_service",
+        [
+            0xb5bf_f7cf_49b3_5329,
+            0xc1e0_6638_92e5_a55d,
+            0x4052_2b4d_69dd_e7f4,
+        ],
+    ),
+    (
+        "attack4_interrupt",
+        [
+            0xfc4a_cedb_8bb1_0f1d,
+            0x20ad_8c7d_9564_f0ee,
+            0x404f_ad21_febd_db62,
+        ],
+    ),
+    (
+        "attack5_brightness",
+        [
+            0x973c_e551_1527_d088,
+            0xa57b_b440_00c2_f99e,
+            0x404f_6fb0_4918_00d9,
+        ],
+    ),
+    (
+        "normal5_brightness",
+        [
+            0xa4a9_0bb2_70a0_f736,
+            0x0961_2b07_b5ec_b5a5,
+            0x4044_b388_44be_f7ce,
+        ],
+    ),
+    (
+        "attack6_wakelock",
+        [
+            0x3c61_31ee_82bd_00f2,
+            0x15b5_8fc5_17eb_c76c,
+            0x404d_25c8_1a90_b0ec,
+        ],
+    ),
+    (
+        "normal6_wakelock",
+        [
+            0x5771_9520_9f2a_24c8,
+            0x0961_2b07_b5ec_b5a5,
+            0x4040_ec9e_6b7d_9886,
+        ],
+    ),
+    (
+        "multi_attack_same_victim",
+        [
+            0xc282_854a_1190_5d18,
+            0xd559_3e3b_d5b1_0176,
+            0x4051_d171_be25_9a4c,
+        ],
+    ),
+    (
+        "hybrid_attack_chain",
+        [
+            0x9237_1f42_62b9_b686,
+            0x7fa8_f165_26a8_e7b3,
+            0x4051_3e87_abd3_b8a7,
+        ],
+    ),
+    (
+        "attack5_auto_mode",
+        [
+            0xa10a_45b9_0843_cb06,
+            0xc1fa_6adb_288e_b351,
+            0x4051_7e9b_b767_5e94,
+        ],
+    ),
+    (
+        "benign_no_sleep_bug",
+        [
+            0x9bc4_8b47_bac1_0e0e,
+            0x10fa_bfe0_7e67_c804,
+            0x4056_0600_0fd3_f207,
+        ],
+    ),
+];
+
+/// Figure artifacts, no fault plan: fig01, fig08, the fine-step profile,
+/// then the five fig03 curves.
+const FIGURES: [(&str, [u64; 3]); 8] = [
+    (
+        "fig01",
+        [
+            0xa1f4_d99d_a0da_4dc3,
+            0x0000_0000_0000_0000,
+            0x4059_dd73_6971_4ef6,
+        ],
+    ),
+    (
+        "fig08",
+        [
+            0xd32e_6c48_eba4_fd63,
+            0xdbc6_cb1b_325d_02c8,
+            0x4057_712b_f3db_b128,
+        ],
+    ),
+    (
+        "fine_step_50ms",
+        [
+            0x9cf9_f12a_58a9_ab29,
+            0x296d_5a6c_b23b_81cb,
+            0x4051_3e87_abd3_ba26,
+        ],
+    ),
+    (
+        "fig03 Bind_service",
+        [
+            0x9ec5_4713_8100_6610,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_000a,
+        ],
+    ),
+    (
+        "fig03 Brightness_10",
+        [
+            0xdc0f_4843_b894_e853,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_0009,
+        ],
+    ),
+    (
+        "fig03 Brightness_full",
+        [
+            0x204c_da6e_0197_b6df,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_0011,
+        ],
+    ),
+    (
+        "fig03 Brightness_low",
+        [
+            0xddfd_027b_16f7_f5a0,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_0008,
+        ],
+    ),
+    (
+        "fig03 Interrupt_app",
+        [
+            0x2c56_7474_eab7_9b2c,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_000b,
+        ],
+    ),
+];
+
+/// The same artifacts under [`plan`] on lane 0.
+const FIGURES_FAULTED: [(&str, [u64; 3]); 8] = [
+    (
+        "fig01",
+        [
+            0x7e0d_3bfe_fbfb_acfb,
+            0x0000_0000_0000_0000,
+            0x4059_dd73_6971_4ef6,
+        ],
+    ),
+    (
+        "fig08",
+        [
+            0x57d7_dd54_228b_8f46,
+            0xc4d1_affe_726a_0484,
+            0x4057_712b_f3db_b128,
+        ],
+    ),
+    (
+        "fine_step_50ms",
+        [
+            0xae9d_2fae_8128_9400,
+            0xda43_4af0_5c3d_608e,
+            0x4051_3e87_abd3_ba26,
+        ],
+    ),
+    (
+        "fig03 Bind_service",
+        [
+            0x9ec5_4713_8100_6610,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_000a,
+        ],
+    ),
+    (
+        "fig03 Brightness_10",
+        [
+            0xdc0f_4843_b894_e853,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_0009,
+        ],
+    ),
+    (
+        "fig03 Brightness_full",
+        [
+            0x204c_da6e_0197_b6df,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_0011,
+        ],
+    ),
+    (
+        "fig03 Brightness_low",
+        [
+            0xddfd_027b_16f7_f5a0,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_0008,
+        ],
+    ),
+    (
+        "fig03 Interrupt_app",
+        [
+            0x2c56_7474_eab7_9b2c,
+            0x3ff0_0000_0000_0000,
+            0x0000_0000_0000_000b,
+        ],
+    ),
+];
+
+/// `render::to_json` of the 6-device smoke fleet, seed 2026, at any
+/// `--jobs` on either power kernel, for each of [`fleet_plans`].
+const FLEET: [u64; 3] = [
+    0xf0f4_dfd1_d771_5eb8,
+    0x3d9b_52cd_7eed_190e,
+    0x0d14_fba6_a1c3_2cc3,
+];
+
+/// The streamed report of the 5-device smoke fleet at any `--lanes` on
+/// either power kernel, for each of [`fleet_plans`].
+const STREAM: [u64; 3] = [
+    0x28ff_39ca_e4c1_88a3,
+    0x1848_2677_dc10_2ce0,
+    0x6425_d4a7_74e9_741e,
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
 }
 
-fn diff_json(label: &str, optimized: &str, reference: &str) {
-    if optimized == reference {
+/// The active plan of the faulted goldens: every fault kind at 0.25.
+fn plan() -> FaultPlan {
+    FaultPlan::uniform(2_026, 0.25)
+}
+
+fn eandroid() -> Profiler {
+    Profiler::eandroid(ScreenPolicy::SeparateEntity)
+}
+
+/// `[ledger, graph, drained bits]` of one scenario run; the graph pin is
+/// 0 when the profiler runs no collateral monitor.
+fn pin_run(run: &ea_apps::RunOutput) -> [u64; 3] {
+    let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
+    let graph = run.profiler.collateral().map_or(0, |graph| {
+        fnv1a(
+            serde_json::to_string(graph)
+                .expect("serialize graph")
+                .as_bytes(),
+        )
+    });
+    let drained = run.profiler.battery().drained().as_joules().to_bits();
+    [fnv1a(ledger.as_bytes()), graph, drained]
+}
+
+/// `[sample bits, lifetime bits, sample count]` of one depletion curve.
+fn pin_curve(curve: &DepletionCurve) -> [u64; 3] {
+    let mut bytes = Vec::with_capacity(curve.points.len() * 16);
+    for point in &curve.points {
+        bytes.extend_from_slice(&point.hours.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&point.percent.to_bits().to_le_bytes());
+    }
+    [
+        fnv1a(&bytes),
+        curve.lifetime_hours.to_bits(),
+        curve.points.len() as u64,
+    ]
+}
+
+/// Panics with the regenerated table when `actual` differs from `pinned`.
+fn check_table(table: &str, pinned: &[(&str, [u64; 3])], actual: &[(String, [u64; 3])]) {
+    let matches = pinned.len() == actual.len()
+        && pinned
+            .iter()
+            .zip(actual)
+            .all(|((name, pins), (label, got))| name == label && pins == got);
+    if matches {
         return;
     }
-    // Byte mismatch: parse both and report the structural diff, which is
-    // far more readable than two multi-kilobyte strings.
-    let a: serde_json::Value = serde_json::from_str(optimized).expect("optimized parses");
-    let b: serde_json::Value = serde_json::from_str(reference).expect("reference parses");
-    assert_eq!(a, b, "{label}: parsed JSON differs between paths");
-    panic!("{label}: parsed JSON agrees but bytes differ (serializer drift)");
-}
-
-#[test]
-fn fig01_scenario_bytes_identical() {
-    // Figure 1 runs the stock-Android profiler (no collateral monitor).
-    let optimized = fingerprint(
-        Scenario::Scene1MessageVideo,
-        Profiler::android(ScreenPolicy::SeparateEntity),
-    );
-    let reference = fingerprint(
-        Scenario::Scene1MessageVideo,
-        Profiler::android(ScreenPolicy::SeparateEntity).with_reference_accounting(),
-    );
-    diff_json("fig01 ledger", &optimized.0, &reference.0);
-    assert_eq!(optimized.2, reference.2, "fig01 drained-energy bits");
-}
-
-#[test]
-fn fig08_scenario_bytes_identical() {
-    let optimized = fingerprint(
-        Scenario::Scene2HybridChain,
-        Profiler::eandroid(ScreenPolicy::SeparateEntity),
-    );
-    let reference = fingerprint(
-        Scenario::Scene2HybridChain,
-        Profiler::eandroid(ScreenPolicy::SeparateEntity).with_reference_accounting(),
-    );
-    diff_json("fig08 ledger", &optimized.0, &reference.0);
-    diff_json("fig08 collateral graph", &optimized.1, &reference.1);
-    assert_eq!(optimized.2, reference.2, "fig08 drained-energy bits");
-}
-
-#[test]
-fn every_scenario_bytes_identical() {
-    for scenario in Scenario::ALL {
-        let optimized = fingerprint(scenario, Profiler::eandroid(ScreenPolicy::SeparateEntity));
-        let reference = fingerprint(
-            scenario,
-            Profiler::eandroid(ScreenPolicy::SeparateEntity).with_reference_accounting(),
-        );
-        let name = scenario.name();
-        diff_json(&format!("{name} ledger"), &optimized.0, &reference.0);
-        diff_json(&format!("{name} graph"), &optimized.1, &reference.1);
-        assert_eq!(optimized.2, reference.2, "{name} drained-energy bits");
+    let mut regenerated = String::new();
+    for (label, [a, b, c]) in actual {
+        regenerated.push_str(&format!(
+            "    (\"{label}\", [0x{a:016x}, 0x{b:016x}, 0x{c:016x}]),\n"
+        ));
     }
+    let moved: Vec<&str> = pinned
+        .iter()
+        .zip(actual)
+        .filter(|((name, pins), (label, got))| name != label || pins != got)
+        .map(|((name, _), _)| *name)
+        .collect();
+    panic!("{table} moved at {moved:?}; regenerated table:\n{regenerated}");
 }
 
-#[test]
-fn every_scenario_bytes_identical_across_kernels() {
-    // The SoA batch kernel (`PowerLanes`) against the per-device model
-    // structs, across all scenarios: the tentpole byte-identity contract.
-    for scenario in Scenario::ALL {
-        let batch = fingerprint(scenario, Profiler::eandroid(ScreenPolicy::SeparateEntity));
-        let structs = fingerprint(
-            scenario,
-            Profiler::eandroid(ScreenPolicy::SeparateEntity).with_batch_kernel(false),
-        );
-        let name = scenario.name();
-        diff_json(
-            &format!("{name} ledger (kernel axis)"),
-            &batch.0,
-            &structs.0,
-        );
-        diff_json(&format!("{name} graph (kernel axis)"), &batch.1, &structs.1);
-        assert_eq!(
-            batch.2, structs.2,
-            "{name} drained-energy bits (kernel axis)"
-        );
-    }
+fn scenario_table(faulted: bool, batch_kernel: bool) -> Vec<(String, [u64; 3])> {
+    Scenario::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(lane, scenario)| {
+            let profiler = eandroid().with_batch_kernel(batch_kernel);
+            let run = if faulted {
+                scenario.run_chaos(profiler, &plan(), lane as u64)
+            } else {
+                scenario.run(profiler)
+            };
+            (scenario.name().to_string(), pin_run(&run))
+        })
+        .collect()
 }
 
-#[test]
-fn fig03_depletion_curves_identical() {
+fn figure_table(faulted: bool) -> Vec<(String, [u64; 3])> {
+    let run = |scenario: Scenario, profiler: Profiler| {
+        if faulted {
+            scenario.run_chaos(profiler, &plan(), 0)
+        } else {
+            scenario.run(profiler)
+        }
+    };
+    let mut table = vec![
+        (
+            "fig01".to_string(),
+            pin_run(&run(
+                Scenario::Scene1MessageVideo,
+                Profiler::android(ScreenPolicy::SeparateEntity),
+            )),
+        ),
+        (
+            "fig08".to_string(),
+            pin_run(&run(Scenario::Scene2HybridChain, eandroid())),
+        ),
+        (
+            "fine_step_50ms".to_string(),
+            pin_run(&run(
+                Scenario::HybridAttackChain,
+                eandroid().with_step(SimDuration::from_millis(50)),
+            )),
+        ),
+    ];
     for case in DepletionCase::ALL {
-        let optimized = run_depletion(case, 1);
-        let reference = run_depletion_reference(case, 1);
-        assert_eq!(
-            optimized, reference,
-            "depletion curve {} must not depend on the accounting path",
-            optimized.label
-        );
+        let curve = if faulted {
+            run_depletion_chaos(case, 1, &plan(), 0)
+        } else {
+            run_depletion(case, 1)
+        };
+        table.push((format!("fig03 {}", case.label()), pin_curve(&curve)));
     }
+    table
 }
 
 #[test]
-fn fine_step_profiles_identical() {
-    // A 50 ms step multiplies the hot-loop iteration count 20×, stressing
-    // accumulated float state; the paths must still agree bit-for-bit.
-    let optimized = Scenario::HybridAttackChain.run(
-        Profiler::eandroid(ScreenPolicy::SeparateEntity).with_step(SimDuration::from_millis(50)),
-    );
-    let reference = Scenario::HybridAttackChain.run(
-        Profiler::eandroid(ScreenPolicy::SeparateEntity)
-            .with_step(SimDuration::from_millis(50))
-            .with_reference_accounting(),
-    );
-    assert_eq!(
-        serde_json::to_string(optimized.profiler.ledger()).unwrap(),
-        serde_json::to_string(reference.profiler.ledger()).unwrap(),
-    );
-    assert_eq!(
-        serde_json::to_string(optimized.profiler.collateral().unwrap()).unwrap(),
-        serde_json::to_string(reference.profiler.collateral().unwrap()).unwrap(),
-    );
-}
-
-/// Like [`fingerprint`], but the scenario runs on a caller-booted system
-/// with the lifecycle axis pinned: `reference = true` selects the
-/// pre-reducer imperative path, `false` the default reducer/reconciler.
-fn fingerprint_lifecycle(
-    scenario: Scenario,
-    profiler: Profiler,
-    reference: bool,
-) -> (String, String, u64) {
-    let mut android = ea_framework::AndroidSystem::new();
-    android.set_reference_lifecycle(reference);
-    let run = scenario.run_with(android, profiler);
-    let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
-    let graph = match run.profiler.collateral() {
-        Some(graph) => serde_json::to_string(graph).expect("serialize graph"),
-        None => String::new(),
-    };
-    let drained = run.profiler.battery().drained().as_joules().to_bits();
-    (ledger, graph, drained)
+fn scenario_bytes_match_their_absolute_pins() {
+    check_table("SCENARIOS", &SCENARIOS, &scenario_table(false, true));
 }
 
 #[test]
-fn every_scenario_bytes_identical_across_lifecycle_paths() {
-    // The reducer/reconciler lifecycle core against the pre-reducer
-    // imperative path, across all 14 scenarios: intent recording is pure
-    // observation, so swapping the axis must not move a byte.
-    for scenario in Scenario::ALL {
-        let reducer = fingerprint_lifecycle(
-            scenario,
-            Profiler::eandroid(ScreenPolicy::SeparateEntity),
-            false,
-        );
-        let reference = fingerprint_lifecycle(
-            scenario,
-            Profiler::eandroid(ScreenPolicy::SeparateEntity),
-            true,
-        );
-        let name = scenario.name();
-        diff_json(
-            &format!("{name} ledger (lifecycle axis)"),
-            &reducer.0,
-            &reference.0,
-        );
-        diff_json(
-            &format!("{name} graph (lifecycle axis)"),
-            &reducer.1,
-            &reference.1,
-        );
-        assert_eq!(
-            reducer.2, reference.2,
-            "{name} drained-energy bits (lifecycle axis)"
-        );
-    }
+fn scenario_bytes_match_their_pins_on_the_struct_kernel() {
+    check_table("SCENARIOS", &SCENARIOS, &scenario_table(false, false));
 }
 
-/// Like [`fingerprint`], but with a fault plan attached via the chaos
-/// entry point. A zero-rate plan must not move a single byte.
-fn fingerprint_chaos(
-    scenario: Scenario,
-    profiler: Profiler,
-    plan: &ea_chaos::FaultPlan,
-) -> (String, String, u64) {
-    let run = scenario.run_chaos(profiler, plan, 0);
-    let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
-    let graph = match run.profiler.collateral() {
-        Some(graph) => serde_json::to_string(graph).expect("serialize graph"),
-        None => String::new(),
-    };
-    let drained = run.profiler.battery().drained().as_joules().to_bits();
-    (ledger, graph, drained)
+#[test]
+fn faulted_scenario_bytes_match_their_absolute_pins() {
+    check_table(
+        "SCENARIOS_FAULTED",
+        &SCENARIOS_FAULTED,
+        &scenario_table(true, true),
+    );
+}
+
+#[test]
+fn figure_artifacts_match_their_absolute_pins() {
+    check_table("FIGURES", &FIGURES, &figure_table(false));
+}
+
+#[test]
+fn faulted_figure_artifacts_match_their_absolute_pins() {
+    check_table("FIGURES_FAULTED", &FIGURES_FAULTED, &figure_table(true));
 }
 
 #[test]
 fn zero_rate_fault_plan_is_a_byte_identical_noop_on_figure_artifacts() {
-    let plan = ea_chaos::FaultPlan::zero(2_026);
-
-    // fig01: stock-Android profiler.
-    let bare = fingerprint(
-        Scenario::Scene1MessageVideo,
+    let zero = FaultPlan::zero(2_026);
+    let fig01 = Scenario::Scene1MessageVideo.run_chaos(
         Profiler::android(ScreenPolicy::SeparateEntity),
+        &zero,
+        0,
     );
-    let chaos = fingerprint_chaos(
-        Scenario::Scene1MessageVideo,
-        Profiler::android(ScreenPolicy::SeparateEntity),
-        &plan,
-    );
-    diff_json("fig01 ledger under zero plan", &chaos.0, &bare.0);
-    assert_eq!(chaos.2, bare.2, "fig01 drained-energy bits under zero plan");
-
-    // fig08: full E-Android profiler with the collateral monitor.
-    let bare = fingerprint(
-        Scenario::Scene2HybridChain,
-        Profiler::eandroid(ScreenPolicy::SeparateEntity),
-    );
-    let chaos = fingerprint_chaos(
-        Scenario::Scene2HybridChain,
-        Profiler::eandroid(ScreenPolicy::SeparateEntity),
-        &plan,
-    );
-    diff_json("fig08 ledger under zero plan", &chaos.0, &bare.0);
-    diff_json("fig08 graph under zero plan", &chaos.1, &bare.1);
-    assert_eq!(chaos.2, bare.2, "fig08 drained-energy bits under zero plan");
-
-    // fig03: the depletion race.
-    for case in DepletionCase::ALL {
-        let bare = run_depletion(case, 1);
-        let chaos = ea_apps::run_depletion_chaos(case, 1, &plan, 0);
+    assert_eq!(pin_run(&fig01), FIGURES[0].1, "fig01 under a zero plan");
+    let fig08 = Scenario::Scene2HybridChain.run_chaos(eandroid(), &zero, 0);
+    assert_eq!(pin_run(&fig08), FIGURES[1].1, "fig08 under a zero plan");
+    for (index, case) in DepletionCase::ALL.into_iter().enumerate() {
+        let curve = run_depletion_chaos(case, 1, &zero, 0);
         assert_eq!(
-            bare, chaos,
-            "depletion curve {} moved under a zero-rate plan",
-            bare.label
+            pin_curve(&curve),
+            FIGURES[3 + index].1,
+            "depletion curve {} under a zero plan",
+            curve.label
         );
     }
 }
 
-#[test]
-fn fleet_report_bytes_stable_across_jobs_and_paths() {
-    let base = FleetConfig {
+fn fleet_config(size: usize, faults: Option<FaultPlan>) -> FleetConfig {
+    FleetConfig {
         jobs: 1,
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    for jobs in [4, 8] {
-        let (report, _) = run_fleet(&FleetConfig {
-            jobs,
-            ..base.clone()
-        });
-        assert_eq!(
-            golden,
-            render::to_json(&report),
-            "fleet report changed at --jobs {jobs}"
-        );
-    }
-
-    let (report, _) = run_fleet(&FleetConfig {
-        reference_accounting: true,
-        ..base
-    });
-    assert_eq!(
-        golden,
-        render::to_json(&report),
-        "fleet report changed on the reference accounting path"
-    );
-}
-
-#[test]
-fn fleet_report_bytes_stable_across_kernel_and_scheduler_axes() {
-    let base = FleetConfig {
-        jobs: 1,
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    // Every combination of power kernel × event-queue backend, swept
-    // across worker counts, must reproduce the same bytes.
-    for (batch_kernel, reference_scheduler) in [(false, false), (true, true), (false, true)] {
-        for jobs in [1, 4, 8] {
-            let (report, _) = run_fleet(&FleetConfig {
-                batch_kernel,
-                reference_scheduler,
-                jobs,
-                ..base.clone()
-            });
-            assert_eq!(
-                golden,
-                render::to_json(&report),
-                "fleet report changed at batch_kernel={batch_kernel} \
-                 reference_scheduler={reference_scheduler} jobs={jobs}"
-            );
-        }
+        faults,
+        ..FleetConfig::smoke(size, 2_026)
     }
 }
 
-#[test]
-fn faulted_fleet_report_bytes_stable_across_kernel_and_scheduler_axes() {
-    // An active (non-zero) fault plan exercises chaos panics, retries,
-    // counter glitches, and framework faults; the kernel and scheduler
-    // switches must still not move a byte.
-    let base = FleetConfig {
-        jobs: 1,
-        faults: Some(ea_chaos::FaultPlan::uniform(2_026, 0.35)),
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
+/// The fleet settings the report goldens cover: no plan; a plan whose
+/// only failure is a pre-boot panic; and a plan that abandons devices
+/// mid-run, so their intent-log tails are pinned too.
+fn fleet_plans() -> [Option<FaultPlan>; 3] {
+    [
+        None,
+        Some(FaultPlan::uniform(2_026, 0.35)),
+        Some(FaultPlan::uniform(1, 0.5)),
+    ]
+}
 
-    for (batch_kernel, reference_scheduler) in [(false, false), (true, true), (false, true)] {
-        for jobs in [4, 8] {
-            let (report, _) = run_fleet(&FleetConfig {
-                batch_kernel,
-                reference_scheduler,
-                jobs,
-                ..base.clone()
-            });
-            assert_eq!(
-                golden,
-                render::to_json(&report),
-                "faulted fleet report changed at batch_kernel={batch_kernel} \
-                 reference_scheduler={reference_scheduler} jobs={jobs}"
-            );
-        }
+/// Panics, listing every run, unless each fingerprint in `runs` is `pin`.
+fn check_runs(what: &str, pin: u64, runs: &[(String, u64)]) {
+    if runs.iter().all(|&(_, got)| got == pin) {
+        return;
     }
+    let listing: Vec<String> = runs
+        .iter()
+        .map(|(label, got)| format!("{label}: 0x{got:016x}"))
+        .collect();
+    panic!("{what} moved from pin 0x{pin:016x}: {listing:?}");
 }
 
 #[test]
-fn fleet_report_bytes_stable_across_lifecycle_axis() {
-    // Reducer lifecycle (default) against `--reference-lifecycle`, swept
-    // across worker counts and crossed with the other oracle axes. The
-    // smoke fleet completes every device, so the reference path's lack
-    // of intent logs cannot surface in the report — the bytes must match.
-    let base = FleetConfig {
-        jobs: 1,
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    for jobs in [1, 4, 8] {
-        let (report, _) = run_fleet(&FleetConfig {
-            reference_lifecycle: true,
-            jobs,
-            ..base.clone()
-        });
-        assert_eq!(
-            golden,
-            render::to_json(&report),
-            "fleet report changed under --reference-lifecycle at jobs={jobs}"
-        );
-    }
-    let (report, _) = run_fleet(&FleetConfig {
-        reference_lifecycle: true,
-        batch_kernel: false,
-        reference_scheduler: true,
-        jobs: 4,
-        ..base.clone()
-    });
-    assert_eq!(
-        golden,
-        render::to_json(&report),
-        "fleet report changed with every oracle axis flipped at once"
-    );
-}
-
-#[test]
-fn faulted_fleet_report_bytes_stable_across_lifecycle_axis() {
-    // An active plan under the lifecycle axis. Panics and slow devices
-    // are excluded: an abandoned device records its intent-log tail on
-    // the reducer path and `None` on the reference path, so only a
-    // failure-free plan can demand byte identity across the axis.
-    let plan = ea_chaos::FaultPlan {
-        seed: 2_026,
-        rates: ea_chaos::FaultRates {
-            device_panic: 0.0,
-            slow_device: 0.0,
-            ..ea_chaos::FaultRates::uniform(0.35)
-        },
-    };
-    let base = FleetConfig {
-        jobs: 1,
-        faults: Some(plan),
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-    assert!(
-        report.failures.is_empty(),
-        "plan must stay failure-free for the cross-axis comparison"
-    );
-
-    for jobs in [1, 4, 8] {
-        let (report, _) = run_fleet(&FleetConfig {
-            reference_lifecycle: true,
-            jobs,
-            ..base.clone()
-        });
-        assert_eq!(
-            golden,
-            render::to_json(&report),
-            "faulted fleet report changed under --reference-lifecycle at jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn streamed_report_bytes_stable_across_lanes_and_lifecycle_axis() {
-    // The serve path across the lifecycle axis: streamed bytes must
-    // match the batch engine's at every lane count on both paths.
-    let base = FleetConfig {
-        jobs: 1,
-        ..FleetConfig::smoke(5, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    for lanes in [1, 2, 5] {
-        for reference_lifecycle in [false, true] {
-            let config = ea_serve::ServeConfig {
-                lanes,
-                ..ea_serve::ServeConfig::new(FleetConfig {
-                    reference_lifecycle,
-                    ..base.clone()
-                })
-            };
-            let (streamed, _) = ea_serve::run_serve(&config, None).expect("no socket: cannot fail");
-            assert_eq!(
-                golden,
-                render::to_json(&streamed),
-                "streamed report changed at lanes={lanes} \
-                 reference_lifecycle={reference_lifecycle}"
-            );
-        }
-    }
-}
-
-#[test]
-fn streamed_report_bytes_stable_across_lanes_and_axes() {
-    // The serve path: the streamed report must match the batch engine's
-    // bytes at every lane count, on both kernels and both schedulers.
-    let base = FleetConfig {
-        jobs: 1,
-        ..FleetConfig::smoke(5, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    for lanes in [1, 2, 5] {
-        for (batch_kernel, reference_scheduler) in [(true, false), (false, true)] {
-            let config = ea_serve::ServeConfig {
-                lanes,
-                ..ea_serve::ServeConfig::new(FleetConfig {
+fn fleet_report_bytes_match_their_absolute_pins_at_any_jobs() {
+    for (setting, (pin, faults)) in FLEET.into_iter().zip(fleet_plans()).enumerate() {
+        let base = fleet_config(6, faults);
+        let runs: Vec<(String, u64)> = [1, 4, 8]
+            .into_iter()
+            .flat_map(|jobs| [(jobs, true), (jobs, false)])
+            .map(|(jobs, batch_kernel)| {
+                let (report, _) = run_fleet(&FleetConfig {
+                    jobs,
                     batch_kernel,
-                    reference_scheduler,
                     ..base.clone()
-                })
-            };
-            let (streamed, _) = ea_serve::run_serve(&config, None).expect("no socket: cannot fail");
-            assert_eq!(
-                golden,
-                render::to_json(&streamed),
-                "streamed report changed at lanes={lanes} batch_kernel={batch_kernel} \
-                 reference_scheduler={reference_scheduler}"
-            );
-        }
+                });
+                let label = format!("jobs={jobs} batch_kernel={batch_kernel}");
+                (label, fnv1a(render::to_json(&report).as_bytes()))
+            })
+            .collect();
+        let what = format!("fleet report (fleet_plans()[{setting}])");
+        check_runs(&what, pin, &runs);
+    }
+}
+
+#[test]
+fn streamed_report_bytes_match_their_absolute_pins_at_any_lanes() {
+    for (setting, (pin, faults)) in STREAM.into_iter().zip(fleet_plans()).enumerate() {
+        let base = fleet_config(5, faults);
+        let runs: Vec<(String, u64)> = [1, 2, 5]
+            .into_iter()
+            .flat_map(|lanes| [(lanes, true), (lanes, false)])
+            .map(|(lanes, batch_kernel)| {
+                let config = ServeConfig {
+                    lanes,
+                    ..ServeConfig::new(FleetConfig {
+                        batch_kernel,
+                        ..base.clone()
+                    })
+                };
+                let (streamed, _) = run_serve(&config, None).expect("no socket: cannot fail");
+                (
+                    format!("lanes={lanes} batch_kernel={batch_kernel}"),
+                    fnv1a(render::to_json(&streamed).as_bytes()),
+                )
+            })
+            .collect();
+        let what = format!("streamed report (fleet_plans()[{setting}])");
+        check_runs(&what, pin, &runs);
     }
 }

@@ -4,16 +4,14 @@
 //!
 //! [`charge`](EnergyLedger::charge) runs once per `(entity, component)` pair
 //! per profiler tick, making it the single hottest write in the pipeline.
-//! The default **dense** storage interns entities to [`UidSlot`]s and keeps
+//! The ledger interns entities to [`UidSlot`](crate::UidSlot)s and keeps
 //! one fixed-size `[Energy; N]` row per entity (N = component count), so a
-//! charge is two array indexes instead of two tree walks. The **reference**
-//! storage ([`EnergyLedger::reference`]) preserves the original
-//! `BTreeMap<Entity, BTreeMap<Component, Energy>>` implementation as the
-//! validation baseline. Every query, comparison, and serialization
-//! canonicalizes to entity/component order, so the two storages are
-//! observably identical (including serialized bytes and float rounding —
-//! dense rows sum in component order with exact-zero gaps, which leaves
-//! IEEE-754 sums bit-identical to the sparse reference sums).
+//! charge is two array indexes instead of two tree walks. Every query,
+//! comparison, and serialization canonicalizes to entity/component order,
+//! so the bytes are those of the historical nested
+//! `BTreeMap<Entity, BTreeMap<Component, Energy>>` ledger — rows sum in
+//! component order with exact-zero gaps, which leaves IEEE-754 sums
+//! bit-identical to summing only the charged components.
 
 use std::collections::BTreeMap;
 
@@ -43,7 +41,7 @@ impl LedgerRow {
     fn total(&self) -> Energy {
         // Uncharged cells hold exact 0.0; adding them is an IEEE no-op, so
         // this sum is bit-identical to summing only the charged components
-        // in component order (what the reference BTreeMap does).
+        // in component order.
         self.energy.iter().copied().sum()
     }
 
@@ -54,18 +52,6 @@ impl LedgerRow {
             .map(|&component| (component, self.energy[component as usize]))
             .collect()
     }
-}
-
-#[derive(Debug, Clone)]
-enum Storage {
-    Dense {
-        interner: SlotInterner,
-        rows: Vec<LedgerRow>,
-        /// Slots ever charged (fixed slots exist from birth but may stay
-        /// empty; apps only get a row by being charged).
-        touched: Vec<bool>,
-    },
-    Reference(BTreeMap<Entity, ComponentBreakdown>),
 }
 
 /// The base double-entry of every profiler: entity × component → energy.
@@ -81,40 +67,30 @@ enum Storage {
 /// ledger.charge(Entity::Screen, Component::Screen, Energy::from_joules(1.0));
 /// assert!((ledger.total_of(Entity::Screen).as_joules() - 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyLedger {
-    storage: Storage,
-}
-
-impl Default for EnergyLedger {
-    fn default() -> Self {
-        EnergyLedger::new()
-    }
+    interner: SlotInterner,
+    rows: Vec<LedgerRow>,
+    /// Slots ever charged (fixed slots exist from birth but may stay
+    /// empty; apps only get a row by being charged).
+    touched: Vec<bool>,
 }
 
 impl EnergyLedger {
-    /// An empty ledger on the dense (slot-interned) storage.
+    /// An empty ledger.
     pub fn new() -> Self {
-        EnergyLedger {
-            storage: Storage::Dense {
-                interner: SlotInterner::new(),
-                rows: Vec::new(),
-                touched: Vec::new(),
-            },
-        }
+        EnergyLedger::default()
     }
 
-    /// An empty ledger on the reference (nested-map) storage — the
-    /// pre-optimization baseline used for validation and benchmarking.
-    pub fn reference() -> Self {
-        EnergyLedger {
-            storage: Storage::Reference(BTreeMap::new()),
+    /// The row of `entity`, grown on first use.
+    fn row_mut(&mut self, entity: Entity) -> &mut LedgerRow {
+        let slot = self.interner.intern(entity).index();
+        if self.rows.len() <= slot {
+            self.rows.resize_with(slot + 1, LedgerRow::default);
+            self.touched.resize(slot + 1, false);
         }
-    }
-
-    /// Whether this ledger runs on the reference storage.
-    pub fn is_reference(&self) -> bool {
-        matches!(self.storage, Storage::Reference(_))
+        self.touched[slot] = true;
+        &mut self.rows[slot]
     }
 
     /// Adds `energy` consumed by `entity` on `component`.
@@ -123,105 +99,50 @@ impl EnergyLedger {
         if energy.is_zero() {
             return;
         }
-        match &mut self.storage {
-            Storage::Dense {
-                interner,
-                rows,
-                touched,
-            } => {
-                let slot = interner.intern(entity);
-                if rows.len() <= slot.index() {
-                    rows.resize_with(slot.index() + 1, LedgerRow::default);
-                    touched.resize(slot.index() + 1, false);
-                }
-                let row = &mut rows[slot.index()];
-                row.energy[component as usize] += energy;
-                row.mask |= 1 << component as u8;
-                touched[slot.index()] = true;
-            }
-            Storage::Reference(entries) => {
-                *entries
-                    .entry(entity)
-                    .or_default()
-                    .entry(component)
-                    .or_insert(Energy::ZERO) += energy;
-            }
-        }
+        let row = self.row_mut(entity);
+        row.energy[component as usize] += energy;
+        row.mask |= 1 << component as u8;
     }
 
-    fn dense_row(&self, entity: Entity) -> Option<&LedgerRow> {
-        match &self.storage {
-            Storage::Dense {
-                interner,
-                rows,
-                touched,
-            } => {
-                let slot = interner.slot_of(entity)?;
-                if !touched.get(slot.index()).copied().unwrap_or(false) {
-                    return None;
-                }
-                rows.get(slot.index())
-            }
-            Storage::Reference(_) => None,
+    fn row(&self, entity: Entity) -> Option<&LedgerRow> {
+        let slot = self.interner.slot_of(entity)?.index();
+        if !self.touched.get(slot).copied().unwrap_or(false) {
+            return None;
         }
+        self.rows.get(slot)
     }
 
     /// Total energy of one entity across components.
     pub fn total_of(&self, entity: Entity) -> Energy {
-        match &self.storage {
-            Storage::Dense { .. } => self
-                .dense_row(entity)
-                .map(LedgerRow::total)
-                .unwrap_or(Energy::ZERO),
-            Storage::Reference(entries) => entries
-                .get(&entity)
-                .map(|breakdown| breakdown.values().copied().sum())
-                .unwrap_or(Energy::ZERO),
-        }
+        self.row(entity)
+            .map(LedgerRow::total)
+            .unwrap_or(Energy::ZERO)
     }
 
     /// The per-component breakdown of one entity.
     pub fn breakdown_of(&self, entity: Entity) -> ComponentBreakdown {
-        match &self.storage {
-            Storage::Dense { .. } => self
-                .dense_row(entity)
-                .map(LedgerRow::breakdown)
-                .unwrap_or_default(),
-            Storage::Reference(entries) => entries.get(&entity).cloned().unwrap_or_default(),
-        }
+        self.row(entity)
+            .map(LedgerRow::breakdown)
+            .unwrap_or_default()
     }
 
     /// Energy of one entity on one component.
     pub fn of(&self, entity: Entity, component: Component) -> Energy {
-        match &self.storage {
-            Storage::Dense { .. } => self
-                .dense_row(entity)
-                .map(|row| row.energy[component as usize])
-                .unwrap_or(Energy::ZERO),
-            Storage::Reference(entries) => entries
-                .get(&entity)
-                .and_then(|breakdown| breakdown.get(&component))
-                .copied()
-                .unwrap_or(Energy::ZERO),
-        }
+        self.row(entity)
+            .map(|row| row.energy[component as usize])
+            .unwrap_or(Energy::ZERO)
     }
 
     /// All charged entities, in entity order.
     fn sorted_entities(&self) -> Vec<Entity> {
-        match &self.storage {
-            Storage::Dense {
-                interner, touched, ..
-            } => {
-                let mut entities: Vec<Entity> = interner
-                    .iter()
-                    .filter(|&(slot, _)| touched.get(slot.index()).copied().unwrap_or(false))
-                    .map(|(_, entity)| entity)
-                    .collect();
-                entities.sort();
-                entities
-            }
-            Storage::Reference(entries) => entries.keys().copied().collect(),
-        }
+        let mut entities: Vec<Entity> = self
+            .interner
+            .iter()
+            .filter(|&(slot, _)| self.touched.get(slot.index()).copied().unwrap_or(false))
+            .map(|(_, entity)| entity)
+            .collect();
+        entities.sort();
+        entities
     }
 
     /// All entities with any charge, in stable order.
@@ -256,16 +177,12 @@ impl EnergyLedger {
         100.0 * self.total_of(entity).fraction_of(self.grand_total())
     }
 
-    /// The canonical map view both storages serialize to and compare by.
+    /// The canonical map view the ledger serializes to and compares by.
     fn canonical(&self) -> BTreeMap<Entity, ComponentBreakdown> {
-        match &self.storage {
-            Storage::Dense { .. } => self
-                .sorted_entities()
-                .into_iter()
-                .map(|entity| (entity, self.breakdown_of(entity)))
-                .collect(),
-            Storage::Reference(entries) => entries.clone(),
-        }
+        self.sorted_entities()
+            .into_iter()
+            .map(|entity| (entity, self.breakdown_of(entity)))
+            .collect()
     }
 }
 
@@ -298,23 +215,10 @@ impl<'de> Deserialize<'de> for EnergyLedger {
         for (entity, breakdown) in wire.entries {
             // Zero entries don't round-trip through charge(); preserve them
             // by writing the row directly.
-            if let Storage::Dense {
-                interner,
-                rows,
-                touched,
-            } = &mut ledger.storage
-            {
-                let slot = interner.intern(entity);
-                if rows.len() <= slot.index() {
-                    rows.resize_with(slot.index() + 1, LedgerRow::default);
-                    touched.resize(slot.index() + 1, false);
-                }
-                let row = &mut rows[slot.index()];
-                for (component, energy) in breakdown {
-                    row.energy[component as usize] = energy;
-                    row.mask |= 1 << component as u8;
-                }
-                touched[slot.index()] = true;
+            let row = ledger.row_mut(entity);
+            for (component, energy) in breakdown {
+                row.energy[component as usize] = energy;
+                row.mask |= 1 << component as u8;
             }
         }
         Ok(ledger)
@@ -330,85 +234,79 @@ mod tests {
         Entity::App(Uid::from_raw(10_000 + n))
     }
 
-    /// Every behavioral test runs against both storages.
-    fn both(test: impl Fn(EnergyLedger)) {
-        test(EnergyLedger::new());
-        test(EnergyLedger::reference());
-    }
-
     #[test]
     fn charges_accumulate_per_component() {
-        both(|mut ledger| {
-            ledger.charge(app(1), Component::Cpu, Energy::from_joules(1.0));
-            ledger.charge(app(1), Component::Cpu, Energy::from_joules(2.0));
-            ledger.charge(app(1), Component::Camera, Energy::from_joules(4.0));
-            assert!((ledger.of(app(1), Component::Cpu).as_joules() - 3.0).abs() < 1e-12);
-            assert!((ledger.total_of(app(1)).as_joules() - 7.0).abs() < 1e-12);
-        });
+        let mut ledger = EnergyLedger::new();
+        ledger.charge(app(1), Component::Cpu, Energy::from_joules(1.0));
+        ledger.charge(app(1), Component::Cpu, Energy::from_joules(2.0));
+        ledger.charge(app(1), Component::Camera, Energy::from_joules(4.0));
+        assert!((ledger.of(app(1), Component::Cpu).as_joules() - 3.0).abs() < 1e-12);
+        assert!((ledger.total_of(app(1)).as_joules() - 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_charges_create_no_rows() {
-        both(|mut ledger| {
-            ledger.charge(app(1), Component::Cpu, Energy::ZERO);
-            assert_eq!(ledger.entities().count(), 0);
-        });
+        let mut ledger = EnergyLedger::new();
+        ledger.charge(app(1), Component::Cpu, Energy::ZERO);
+        assert_eq!(ledger.entities().count(), 0);
     }
 
     #[test]
     fn ranking_sorts_descending() {
-        both(|mut ledger| {
-            ledger.charge(app(1), Component::Cpu, Energy::from_joules(1.0));
-            ledger.charge(app(2), Component::Cpu, Energy::from_joules(5.0));
-            ledger.charge(Entity::Screen, Component::Screen, Energy::from_joules(3.0));
-            let ranking = ledger.ranking();
-            assert_eq!(ranking[0].0, app(2));
-            assert_eq!(ranking[1].0, Entity::Screen);
-            assert_eq!(ranking[2].0, app(1));
-        });
+        let mut ledger = EnergyLedger::new();
+        ledger.charge(app(1), Component::Cpu, Energy::from_joules(1.0));
+        ledger.charge(app(2), Component::Cpu, Energy::from_joules(5.0));
+        ledger.charge(Entity::Screen, Component::Screen, Energy::from_joules(3.0));
+        let ranking = ledger.ranking();
+        assert_eq!(ranking[0].0, app(2));
+        assert_eq!(ranking[1].0, Entity::Screen);
+        assert_eq!(ranking[2].0, app(1));
     }
 
     #[test]
     fn percent_sums_to_hundred() {
-        both(|mut ledger| {
-            ledger.charge(app(1), Component::Cpu, Energy::from_joules(1.0));
-            ledger.charge(app(2), Component::Cpu, Energy::from_joules(3.0));
-            let sum: f64 = [app(1), app(2)]
-                .iter()
-                .map(|&entity| ledger.percent_of(entity))
-                .sum();
-            assert!((sum - 100.0).abs() < 1e-9);
-            assert!((ledger.percent_of(app(2)) - 75.0).abs() < 1e-9);
-        });
+        let mut ledger = EnergyLedger::new();
+        ledger.charge(app(1), Component::Cpu, Energy::from_joules(1.0));
+        ledger.charge(app(2), Component::Cpu, Energy::from_joules(3.0));
+        let sum: f64 = [app(1), app(2)]
+            .iter()
+            .map(|&entity| ledger.percent_of(entity))
+            .sum();
+        assert!((sum - 100.0).abs() < 1e-9);
+        assert!((ledger.percent_of(app(2)) - 75.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_ledger_percent_is_zero() {
-        both(|ledger| {
-            assert_eq!(ledger.percent_of(app(1)), 0.0);
-            assert!(ledger.grand_total().is_zero());
-        });
+        let ledger = EnergyLedger::new();
+        assert_eq!(ledger.percent_of(app(1)), 0.0);
+        assert!(ledger.grand_total().is_zero());
     }
 
     #[test]
-    fn dense_and_reference_storages_compare_and_serialize_equal() {
-        let mut dense = EnergyLedger::new();
-        let mut reference = EnergyLedger::reference();
-        for ledger in [&mut dense, &mut reference] {
-            // Charge out of entity order to exercise canonicalization.
-            ledger.charge(Entity::System, Component::Cpu, Energy::from_joules(0.25));
-            ledger.charge(app(9), Component::Wifi, Energy::from_joules(1.0));
-            ledger.charge(app(2), Component::Cpu, Energy::from_joules(2.0));
-            ledger.charge(Entity::Screen, Component::Screen, Energy::from_joules(3.0));
+    fn comparison_and_bytes_are_independent_of_charge_order() {
+        let mut forward = EnergyLedger::new();
+        let mut reverse = EnergyLedger::new();
+        let charges = [
+            (Entity::System, Component::Cpu, 0.25),
+            (app(9), Component::Wifi, 1.0),
+            (app(2), Component::Cpu, 2.0),
+            (Entity::Screen, Component::Screen, 3.0),
+        ];
+        for &(entity, component, joules) in &charges {
+            forward.charge(entity, component, Energy::from_joules(joules));
         }
-        assert_eq!(dense, reference);
-        let dense_json = serde_json::to_string(&dense).unwrap();
-        let reference_json = serde_json::to_string(&reference).unwrap();
-        assert_eq!(dense_json, reference_json);
+        for &(entity, component, joules) in charges.iter().rev() {
+            reverse.charge(entity, component, Energy::from_joules(joules));
+        }
+        assert_eq!(forward, reverse);
+        let json = serde_json::to_string(&forward).unwrap();
+        assert_eq!(json, serde_json::to_string(&reverse).unwrap());
+        let entities: Vec<Entity> = forward.entities().collect();
+        assert_eq!(entities, [app(2), app(9), Entity::Screen, Entity::System]);
 
-        let roundtrip: EnergyLedger = serde_json::from_str(&dense_json).unwrap();
-        assert_eq!(roundtrip, dense);
-        assert!(!roundtrip.is_reference());
-        assert_eq!(roundtrip.breakdown_of(app(9)), dense.breakdown_of(app(9)),);
+        let roundtrip: EnergyLedger = serde_json::from_str(&json).unwrap();
+        assert_eq!(roundtrip, forward);
+        assert_eq!(roundtrip.breakdown_of(app(9)), forward.breakdown_of(app(9)));
     }
 }

@@ -11,7 +11,7 @@ use ea_telemetry::{span, SinkHandle, TelemetryEvent, TelemetrySink};
 
 use ea_power::Component;
 
-use crate::accounting::{attribute, attribute_into};
+use crate::accounting::attribute_into;
 use crate::{
     CollateralGraph, CollateralMonitor, EnergyLedger, Entity, ProfilerChaos, RoutineLedger,
     ScreenPolicy,
@@ -52,9 +52,6 @@ pub struct Profiler {
     routines: Option<RoutineLedger>,
     integrated: Energy,
     telemetry: SinkHandle,
-    /// Run the original (pre-optimization) allocating step path against the
-    /// reference storages — the validation/benchmark baseline.
-    reference: bool,
     /// Fault injection + counter sanitization, when chaos is attached.
     chaos: Option<Box<ProfilerChaos>>,
     /// Sim-time windowed metrics, accrued in-line on the optimized step:
@@ -94,7 +91,6 @@ impl Profiler {
             routines: None,
             integrated: Energy::ZERO,
             telemetry: SinkHandle::noop(),
-            reference: false,
             chaos: None,
             metrics: None,
             lanes: Some(Self::single_lane(DevicePowerModel::nexus4())),
@@ -192,30 +188,6 @@ impl Profiler {
         self
     }
 
-    /// Switches this profiler to the reference (pre-optimization) path:
-    /// nested-map ledger and graph storages driven by the original
-    /// per-tick-allocating step. Observable results are identical to the
-    /// default optimized path — the golden/property tests assert it and the
-    /// `hotloop` bench suite measures the gap. Call before the first step.
-    pub fn with_reference_accounting(mut self) -> Self {
-        self.reference = true;
-        // The reference step evaluates power through the model structs, so
-        // the batch kernel is detached with it.
-        self.lanes = None;
-        self.ledger = EnergyLedger::reference();
-        if let Some(monitor) = &mut self.monitor {
-            let mut reference = CollateralMonitor::reference();
-            reference.set_telemetry(self.telemetry.clone());
-            *monitor = reference;
-        }
-        self
-    }
-
-    /// Whether this profiler runs the reference (pre-optimization) path.
-    pub fn is_reference(&self) -> bool {
-        self.reference
-    }
-
     /// Attaches seeded kernel-counter fault injection: every step the
     /// per-component counter readings pass through the injector and the
     /// counter sanitizer before any energy reaches the ledger. The battery
@@ -236,11 +208,7 @@ impl Profiler {
     /// Enables sim-time windowed metrics: every optimized step accrues
     /// its battery drain into the window ring described by `spec` (see
     /// [`ea_metrics::ProfilerMetrics`]). Accounting results are
-    /// untouched; the per-step cost is a branch and a few adds. The
-    /// reference path ([`with_reference_accounting`]) is preserved
-    /// verbatim as a benchmark baseline and does not accrue metrics.
-    ///
-    /// [`with_reference_accounting`]: Profiler::with_reference_accounting
+    /// untouched; the per-step cost is a branch and a few adds.
     pub fn with_metrics(mut self, spec: WindowSpec) -> Self {
         self.metrics = Some(Box::new(ProfilerMetrics::new(spec)));
         self
@@ -279,18 +247,12 @@ impl Profiler {
     /// Advances the handset by one integration step and accounts the
     /// interval.
     ///
-    /// The optimized path (default) recycles scratch buffers for events,
-    /// the usage snapshot, the component draws, and the attribution split,
-    /// so a steady-state step touches the allocator zero times; with no
-    /// telemetry sink attached, no event payloads, timestamps, or spans are
-    /// constructed at all. [`with_reference_accounting`] switches to the
-    /// original allocating step for baseline comparison.
-    ///
-    /// [`with_reference_accounting`]: Profiler::with_reference_accounting
+    /// The step recycles scratch buffers for events, the usage snapshot,
+    /// the component draws, and the attribution split, so a steady-state
+    /// step touches the allocator zero times; with no telemetry sink
+    /// attached, no event payloads, timestamps, or spans are constructed
+    /// at all.
     pub fn step(&mut self, android: &mut AndroidSystem) {
-        if self.reference {
-            return self.step_reference(android);
-        }
         let traced = self.telemetry.enabled();
         let _step_span = traced.then(|| span(self.telemetry.sink(), "profiler_step"));
         let dt = self.step;
@@ -395,81 +357,7 @@ impl Profiler {
         self.interval_charges_scratch = interval_charges;
     }
 
-    /// The original per-tick-allocating step, preserved verbatim as the
-    /// baseline the `hotloop` bench suite and golden tests measure the
-    /// optimized path against.
-    fn step_reference(&mut self, android: &mut AndroidSystem) {
-        let _step_span = span(self.telemetry.sink(), "profiler_step");
-        let traced = self.telemetry.enabled();
-        let dt = self.step;
-        android.advance(dt);
-        let events = android.drain_events();
-        if let Some(monitor) = &mut self.monitor {
-            let _observe_span = span(self.telemetry.sink(), "collateral_observe");
-            monitor.observe(&events);
-        }
-        let usage = android.usage_snapshot();
-        let mut draws = self.model.draws(android.now(), &usage);
-        let drained_before = self.battery.drained();
-        // Chaos pre-pass, mirrored from the optimized path so both backends
-        // see the identical sanitized draw stream.
-        let predrained = match &mut self.chaos {
-            Some(chaos) => {
-                chaos.apply(&mut draws, dt, &mut self.battery, &self.telemetry);
-                true
-            }
-            None => false,
-        };
-        let mut interval_charges: Vec<(ea_sim::Uid, f64)> = Vec::new();
-        {
-            let _attribute_span = span(self.telemetry.sink(), "attribute");
-            let attribute_started = std::time::Instant::now();
-            for draw in &draws {
-                let energy = Energy::from_power(draw.power_mw, dt);
-                self.integrated += energy;
-                if !predrained {
-                    let _ = self.battery.drain(energy);
-                }
-                for (entity, charge) in attribute(draw, dt, self.policy) {
-                    if traced {
-                        if let Some(uid) = entity.uid() {
-                            match interval_charges.iter_mut().find(|(u, _)| *u == uid) {
-                                Some((_, joules)) => *joules += charge.as_joules(),
-                                None => interval_charges.push((uid, charge.as_joules())),
-                            }
-                        }
-                    }
-                    self.ledger.charge(entity, draw.component, charge);
-                }
-                if draw.component == Component::Cpu {
-                    if let Some(routines) = &mut self.routines {
-                        for user in &draw.users {
-                            let share = energy * user.share.clamp(0.0, 1.0);
-                            let parts = android.demand_breakdown(user.uid);
-                            routines.charge_split(user.uid, share, &parts);
-                        }
-                    }
-                }
-            }
-            if traced {
-                self.telemetry.observe(
-                    "attribution_interval_us",
-                    attribute_started.elapsed().as_secs_f64() * 1e6,
-                );
-            }
-        }
-        if let Some(monitor) = &mut self.monitor {
-            monitor.accrue(&draws, dt);
-        }
-        if traced {
-            let mut staged = std::mem::take(&mut self.staged_events);
-            self.emit_step_events(android, &interval_charges, drained_before, &mut staged);
-            self.staged_events = staged;
-        }
-    }
-
-    /// Per-step telemetry tail, shared by both step paths and only reached
-    /// with an enabled sink. Events are staged into a recycled buffer and
+    /// Per-step telemetry tail, only reached with an enabled sink. Events are staged into a recycled buffer and
     /// flushed through one batched sink call, so an enabled sink costs one
     /// lock round per step instead of one per event; the staged order —
     /// attributions in first-charge order, then the battery drain — matches
@@ -729,24 +617,19 @@ mod tests {
     }
 
     #[test]
-    fn staged_trace_is_byte_identical_across_paths() {
-        let run = |reference: bool| {
+    fn staged_trace_is_identical_across_runs_and_kernels() {
+        let run = |batch: bool| {
             let mut android = busy_handset();
             let recorder = Arc::new(ea_telemetry::Recorder::new());
             let mut profiler = Profiler::eandroid(ScreenPolicy::SeparateEntity)
+                .with_batch_kernel(batch)
                 .with_telemetry(recorder.clone() as Arc<dyn TelemetrySink>);
-            if reference {
-                profiler = profiler.with_reference_accounting();
-            }
             profiler.run(&mut android, SimDuration::from_secs(30));
             recorder.events()
         };
-        let optimized = run(false);
-        let reference = run(true);
-        assert!(!optimized.is_empty());
-        assert_eq!(
-            optimized, reference,
-            "the staged batched flush must leave the event stream unchanged"
-        );
+        let first = run(true);
+        assert!(!first.is_empty());
+        assert_eq!(first, run(true), "the staged flush is deterministic");
+        assert_eq!(first, run(false), "the power kernel never moves the trace");
     }
 }

@@ -44,8 +44,9 @@ pub struct DeviceFailure {
     #[serde(default)]
     pub flight_recorder: Option<FlightDump>,
     /// The tail of the final attempt's lifecycle intent log, salvaged
-    /// through the supervisor's recorder mirror. Present on the default
-    /// reducer lifecycle path; `None` under `--reference-lifecycle`.
+    /// through the supervisor's recorder mirror. Present whenever the
+    /// supervisor attached a recorder, as every `fleet` and `serve` run
+    /// does.
     /// Together with `checkpoint` this is the replay input:
     /// `eandroid replay` re-executes the device and asserts the fresh
     /// log matches this one byte for byte.
@@ -198,7 +199,7 @@ pub struct FleetReport {
     /// Compact per-device rows, in index order.
     pub devices: Vec<DeviceRow>,
     /// The simulation-relevant slice of the run's configuration,
-    /// normalized so execution-only knobs (worker count, oracle axes,
+    /// normalized so execution-only knobs (worker count, power kernel,
     /// flight-recorder capacity) read as their defaults: any two runs
     /// that must produce identical reports embed identical configs.
     /// `eandroid replay` reads this to re-execute failures from the

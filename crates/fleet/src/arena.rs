@@ -1,20 +1,18 @@
 //! Slot arena: device spawn/retire as an index grab.
 //!
-//! The batch engine and the streaming service churn devices constantly —
-//! fleet shards spawn and retire one device per simulation, `ea-serve`
-//! lanes join and leave devices as sessions open and close. Allocating a
-//! fresh set of power lanes, batteries, and accounting rows per device
-//! would make churn an allocation storm; the arena instead hands out
-//! *slots*, dense indexes into the engine's parallel arrays. Retiring a
+//! The streaming service churns devices constantly — `ea-serve` lanes
+//! join and leave devices as sessions open and close. Allocating fresh
+//! per-device rows for every join would make churn an allocation storm;
+//! the arena instead hands out *slots*, dense indexes into the owner's
+//! parallel arrays. Retiring a
 //! device pushes its slot onto a free list; the next spawn pops it and
 //! the engine resets just that slot's rows. Capacity is therefore bounded
 //! by *peak concurrency*, not by total devices ever seen.
 //!
 //! The arena itself is pure index bookkeeping: it does not own device
-//! state. Engines pair each [`SlotSpawn::Fresh`] with a push onto their
+//! state. Owners pair each [`SlotSpawn::Fresh`] with a push onto their
 //! arrays and each [`SlotSpawn::Recycled`] with a reset of the reused
-//! row; the property suite pins that a recycled slot is indistinguishable
-//! from a fresh one.
+//! row.
 
 /// The slot handed out by [`SlotArena::spawn`], tagged with whether the
 /// engine must grow its arrays ([`Fresh`](SlotSpawn::Fresh)) or reset an

@@ -1,6 +1,8 @@
 //! Fleet configuration and the per-device seed schedule.
 
 use ea_chaos::FaultPlan;
+use serde::de::Deserializer;
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 
 /// Device `index`'s seed: position `index + 1` of the splitmix64 stream
@@ -10,6 +12,25 @@ use serde::{Deserialize, Serialize};
 /// exist.
 pub fn device_seed(fleet_seed: u64, index: usize) -> u64 {
     ea_core::rng::splitmix64_stream(fleet_seed, index as u64)
+}
+
+/// A retired boolean switch that keeps its key in the report schema: it
+/// always serializes as `false` and accepts (and ignores) any boolean, so
+/// reports written while the switch existed still load and replay. It has
+/// one value, so nothing can turn a retired path back on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Retired;
+
+impl Serialize for Retired {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bool(false)
+    }
+}
+
+impl<'de> Deserialize<'de> for Retired {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        bool::deserialize(deserializer).map(|_| Retired)
+    }
 }
 
 /// Configuration of one fleet run. Everything that influences the
@@ -46,12 +67,8 @@ pub struct FleetConfig {
     /// Device indices whose workload deliberately panics (fault-injection
     /// testing of the shard-failure path).
     pub panic_devices: Vec<usize>,
-    /// Run every device's profiler on the pre-optimization reference
-    /// accounting path. Produces the same report (the two paths are
-    /// byte-equivalent by contract); exists so benchmarks can measure the
-    /// hot-loop speedup on the full fleet workload in a single run.
-    #[serde(default)]
-    pub reference_accounting: bool,
+    /// The retired reference-accounting switch (report schema v5 key).
+    pub reference_accounting: Retired,
     /// Evaluate every device's power model through the struct-of-arrays
     /// batch kernel (`ea_power::PowerLanes`), the default. Off routes
     /// through the per-device model structs. The two kernels are
@@ -59,18 +76,10 @@ pub struct FleetConfig {
     /// benchmarks can compare them on the full fleet workload.
     #[serde(default = "default_batch_kernel")]
     pub batch_kernel: bool,
-    /// Run every device's framework on the binary-heap reference
-    /// scheduler instead of the default calendar queue. Byte-equivalent
-    /// by contract; the oracle half of the scheduler goldens.
-    #[serde(default)]
-    pub reference_scheduler: bool,
-    /// Run every device's framework on the pre-reducer imperative
-    /// lifecycle path: no desired-state reducer, no intent log, so
-    /// crashed devices carry no intent-log tail and cannot be replayed
-    /// from their forensics bundle. Byte-equivalent for every completed
-    /// device by contract; the oracle half of the lifecycle goldens.
-    #[serde(default)]
-    pub reference_lifecycle: bool,
+    /// The retired reference-scheduler switch (report schema v5 key).
+    pub reference_scheduler: Retired,
+    /// The retired reference-lifecycle switch (report schema v5 key).
+    pub reference_lifecycle: Retired,
     /// Fault-injection plan, applied to every device on its own lane
     /// (counter glitches, framework faults, device panics, slow devices,
     /// poisoned corpus entries). `None` — or a zero-rate plan — leaves the
@@ -117,10 +126,10 @@ impl Default for FleetConfig {
             mean_idle_secs: 45,
             step_millis: 250,
             panic_devices: Vec::new(),
-            reference_accounting: false,
+            reference_accounting: Retired,
             batch_kernel: default_batch_kernel(),
-            reference_scheduler: false,
-            reference_lifecycle: false,
+            reference_scheduler: Retired,
+            reference_lifecycle: Retired,
             faults: None,
             max_retries: default_max_retries(),
             flight_recorder: 0,
@@ -145,8 +154,7 @@ impl FleetConfig {
     }
 
     /// This configuration with every execution-only knob reset to its
-    /// default: worker count, the oracle axes (reference accounting /
-    /// scheduler / lifecycle, batch kernel), and the flight-recorder
+    /// default: worker count, the power kernel, and the flight-recorder
     /// capacity. None of these may change a device's outcome, so two
     /// runs that are byte-identical by contract normalize to the same
     /// config — which is what lets [`crate::FleetReport`] embed it as
@@ -155,10 +163,7 @@ impl FleetConfig {
     pub fn normalized_for_replay(&self) -> Self {
         FleetConfig {
             jobs: 0,
-            reference_accounting: false,
             batch_kernel: default_batch_kernel(),
-            reference_scheduler: false,
-            reference_lifecycle: false,
             flight_recorder: 0,
             // A zero-rate plan is a strict no-op by contract, so it
             // normalizes away: attaching one must not change the report.
@@ -196,6 +201,29 @@ mod tests {
     #[test]
     fn different_fleet_seeds_give_different_schedules() {
         assert_ne!(device_seed(1, 0), device_seed(2, 0));
+    }
+
+    #[test]
+    fn retired_switches_write_false_and_read_any_bool() {
+        let json = serde_json::to_string(&FleetConfig::default()).unwrap();
+        for key in [
+            "reference_accounting",
+            "reference_scheduler",
+            "reference_lifecycle",
+        ] {
+            assert!(
+                json.contains(&format!("\"{key}\":false")),
+                "{key} in {json}"
+            );
+        }
+        let set = json.replace(
+            "\"reference_lifecycle\":false",
+            "\"reference_lifecycle\":true",
+        );
+        let config: FleetConfig = serde_json::from_str(&set).unwrap();
+        assert_eq!(config, FleetConfig::default());
+        let garbled = json.replace("\"reference_scheduler\":false", "\"reference_scheduler\":7");
+        assert!(serde_json::from_str::<FleetConfig>(&garbled).is_err());
     }
 
     #[test]

@@ -198,12 +198,6 @@ pub fn simulate_device_forensic(
     let seed = device_seed(config.seed, index);
     let mut rng = SimRng::seed(seed);
     let mut android = AndroidSystem::new();
-    if config.reference_scheduler {
-        android.set_reference_scheduler(true);
-    }
-    if config.reference_lifecycle {
-        android.set_reference_lifecycle(true);
-    }
     if let Some(recorder) = intents {
         android.set_intent_recorder(recorder.clone());
     }
@@ -278,9 +272,6 @@ pub fn simulate_device_forensic(
         .with_batch_kernel(config.batch_kernel);
     if let Some(handle) = flight {
         profiler.set_telemetry_handle(handle.clone());
-    }
-    if config.reference_accounting {
-        profiler = profiler.with_reference_accounting();
     }
     if let Some(plan) = plan {
         profiler = profiler.with_chaos(plan.power_faults(lane));
@@ -704,57 +695,19 @@ mod tests {
     }
 
     #[test]
-    fn reference_accounting_is_result_equivalent() {
+    fn kernel_axis_is_result_equivalent() {
         let config = FleetConfig::smoke(1, 99);
         let corpus = corpus_for(&config);
-        let optimized = simulate_device(&config, &corpus, 0);
-        let reference = simulate_device(
+        let lanes = simulate_device(&config, &corpus, 0);
+        let structs = simulate_device(
             &FleetConfig {
-                reference_accounting: true,
+                batch_kernel: false,
                 ..config
             },
             &corpus,
             0,
         );
-        assert_eq!(optimized, reference, "slot-interned path must match");
-    }
-
-    #[test]
-    fn kernel_and_scheduler_axes_are_result_equivalent() {
-        let config = FleetConfig::smoke(1, 99);
-        let corpus = corpus_for(&config);
-        let default_path = simulate_device(&config, &corpus, 0);
-        for (batch_kernel, reference_scheduler) in [(false, false), (true, true), (false, true)] {
-            let other = simulate_device(
-                &FleetConfig {
-                    batch_kernel,
-                    reference_scheduler,
-                    ..config.clone()
-                },
-                &corpus,
-                0,
-            );
-            assert_eq!(
-                default_path, other,
-                "batch_kernel={batch_kernel} reference_scheduler={reference_scheduler} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn reference_lifecycle_is_result_equivalent() {
-        let config = FleetConfig::smoke(1, 99);
-        let corpus = corpus_for(&config);
-        let reducer = simulate_device(&config, &corpus, 0);
-        let reference = simulate_device(
-            &FleetConfig {
-                reference_lifecycle: true,
-                ..config
-            },
-            &corpus,
-            0,
-        );
-        assert_eq!(reducer, reference, "lifecycle paths must match");
+        assert_eq!(lanes, structs, "the power kernel must not move a result");
     }
 
     #[test]

@@ -141,13 +141,11 @@ pub fn run_fleet_observed(
                 let flight = (config.flight_recorder > 0)
                     .then(|| Arc::new(FlightRecorder::new(config.flight_recorder)));
                 // One intent-log mirror per worker, reset per attempt by
-                // the supervisor: on the reducer path every abandoned
-                // device ships its log tail for `eandroid replay`.
-                let intents = (!config.reference_lifecycle).then(|| {
-                    Arc::new(ea_framework::IntentLogRecorder::new(
-                        ea_framework::INTENT_LOG_CAPACITY,
-                    ))
-                });
+                // the supervisor: every abandoned device ships its log
+                // tail for `eandroid replay`.
+                let intents = Arc::new(ea_framework::IntentLogRecorder::new(
+                    ea_framework::INTENT_LOG_CAPACITY,
+                ));
                 loop {
                     let shard = next_shard.fetch_add(1, Ordering::Relaxed);
                     if shard >= shard_count {
@@ -161,7 +159,7 @@ pub fn run_fleet_observed(
                             flight: flight.as_ref(),
                             observatory,
                             on_checkpoint: None,
-                            intents: intents.as_ref(),
+                            intents: Some(&intents),
                         };
                         let outcome = supervise_device(config, corpus, index, &mut tally, &hooks);
                         let device_secs = device_started.elapsed().as_secs_f64();

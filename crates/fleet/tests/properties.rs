@@ -1,127 +1,11 @@
 //! Property tests for the fleet determinism contract: the serialized
-//! report is a pure function of `(seed, size)` — never of the job count.
-//! Plus the batch-engine contracts: the SoA backend is bit-equal to the
-//! per-device reference oracle under arbitrary churn, and a recycled
-//! arena slot is indistinguishable from a fresh one even when the
-//! previous tenant was torn down mid-activity (the arena-level analogue
-//! of a chaos panic).
+//! report is a pure function of `(seed, size)` — never of the job count —
+//! plus the intent-log round trip and chaos-failure replay.
 
-use ea_core::ScreenPolicy;
-use ea_fleet::{render, replay_failure, run_fleet, BatchFleet, FleetConfig};
+use ea_fleet::{render, replay_failure, run_fleet, FleetConfig};
 use ea_framework::{Cause, IntentLog, IntentLogDump, LifecycleOp};
-use ea_power::{Battery, DevicePowerModel, DeviceUsage, RadioUse, ScreenUsage};
-use ea_sim::{SimDuration, SimTime, Uid};
+use ea_sim::{SimTime, Uid};
 use proptest::prelude::*;
-
-fn uid(n: u32) -> Uid {
-    Uid::from_raw(10_000 + n % 64)
-}
-
-fn busy_usage(n: u32) -> DeviceUsage {
-    let mut usage = DeviceUsage::idle();
-    usage.screen = ScreenUsage::on((n % 256) as u8, Some(uid(n)));
-    usage.wifi = vec![RadioUse {
-        uid: uid(n),
-        throughput_kbps: 50.0 + f64::from(n % 1_000),
-    }];
-    usage.cellular = vec![RadioUse {
-        uid: uid(n + 1),
-        throughput_kbps: 10.0 + f64::from(n % 300),
-    }];
-    usage.gps = vec![uid(n + 2)];
-    usage
-}
-
-fn quiet_usage(n: u32) -> DeviceUsage {
-    let mut usage = DeviceUsage::idle();
-    usage.screen = ScreenUsage::on(80, Some(uid(n)));
-    usage
-}
-
-/// One churn operation, interpreted identically on both backends.
-#[derive(Debug, Clone)]
-enum ChurnOp {
-    Spawn(u32),
-    Retire(usize),
-    GoBusy(usize, u32),
-    GoQuiet(usize),
-    Step(u8),
-}
-
-fn churn_op() -> impl Strategy<Value = ChurnOp> {
-    prop_oneof![
-        (0u32..10_000).prop_map(ChurnOp::Spawn),
-        (0usize..8).prop_map(ChurnOp::Retire),
-        ((0usize..8), 0u32..10_000).prop_map(|(d, n)| ChurnOp::GoBusy(d, n)),
-        (0usize..8).prop_map(ChurnOp::GoQuiet),
-        (1u8..40).prop_map(ChurnOp::Step),
-    ]
-}
-
-/// Applies `ops` to `fleet`, tracking live slots so retire/mutate ops
-/// address a live device deterministically.
-fn apply_churn(fleet: &mut BatchFleet, ops: &[ChurnOp]) {
-    let mut live: Vec<usize> = Vec::new();
-    for op in ops {
-        match *op {
-            ChurnOp::Spawn(n) => {
-                live.push(fleet.spawn(busy_usage(n), Battery::nexus4()));
-            }
-            ChurnOp::Retire(pick) => {
-                if !live.is_empty() {
-                    let slot = live.remove(pick % live.len());
-                    assert!(fleet.retire(slot));
-                }
-            }
-            ChurnOp::GoBusy(pick, n) => {
-                if !live.is_empty() {
-                    let slot = live[pick % live.len()];
-                    *fleet.usage_mut(slot) = busy_usage(n);
-                }
-            }
-            ChurnOp::GoQuiet(pick) => {
-                if !live.is_empty() {
-                    let slot = live[pick % live.len()];
-                    *fleet.usage_mut(slot) = quiet_usage(7);
-                }
-            }
-            ChurnOp::Step(ticks) => {
-                for _ in 0..ticks {
-                    fleet.step();
-                }
-            }
-        }
-    }
-}
-
-/// Demands bit-equal accounting rows and battery state for every slot.
-fn assert_fleets_bit_equal(a: &BatchFleet, b: &BatchFleet) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.arena().capacity(), b.arena().capacity());
-    for slot in 0..a.arena().capacity() {
-        for (x, y) in a
-            .accounts()
-            .component_joules(slot)
-            .iter()
-            .zip(b.accounts().component_joules(slot))
-        {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "component joules, slot {}", slot);
-        }
-        let rows_a = a.accounts().entity_rows(slot);
-        let rows_b = b.accounts().entity_rows(slot);
-        prop_assert_eq!(rows_a.len(), rows_b.len(), "row count, slot {}", slot);
-        for ((ea, ja), (eb, jb)) in rows_a.iter().zip(&rows_b) {
-            prop_assert_eq!(ea, eb, "entity order, slot {}", slot);
-            prop_assert_eq!(ja.to_bits(), jb.to_bits(), "entity joules, slot {}", slot);
-        }
-        prop_assert_eq!(
-            a.battery(slot).drained().as_joules().to_bits(),
-            b.battery(slot).drained().as_joules().to_bits(),
-            "battery drain, slot {}",
-            slot
-        );
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -163,84 +47,6 @@ proptest! {
         } else {
             prop_assert!(report.failures.is_empty());
         }
-    }
-
-    /// The tentpole equivalence: the SoA batch backend (steady-row cache
-    /// and all) is bit-identical to the per-device reference oracle under
-    /// arbitrary spawn/retire/mutate/step churn.
-    #[test]
-    fn batch_backend_matches_reference_under_churn(
-        ops in proptest::collection::vec(churn_op(), 1..40),
-    ) {
-        let step = SimDuration::from_millis(250);
-        let mut batch = BatchFleet::new(
-            DevicePowerModel::nexus4(), ScreenPolicy::SeparateEntity, step,
-        );
-        let mut reference = BatchFleet::reference(
-            DevicePowerModel::nexus4(), ScreenPolicy::SeparateEntity, step,
-        );
-        apply_churn(&mut batch, &ops);
-        apply_churn(&mut reference, &ops);
-        assert_fleets_bit_equal(&batch, &reference)?;
-    }
-
-    /// Arena reuse is state-clean: a device torn down mid-activity (the
-    /// arena analogue of a chaos panic — radios in tail, GPS mid-session)
-    /// leaves nothing behind; the recycled slot's next tenant produces
-    /// exactly the rows a never-recycled fleet produces.
-    #[test]
-    fn recycled_slot_matches_a_fresh_fleet(
-        first_tenant in 0u32..10_000,
-        second_tenant in 0u32..10_000,
-        pre_steps in 1usize..30,
-        post_steps in 1usize..60,
-    ) {
-        let step = SimDuration::from_millis(250);
-        let mut recycled = BatchFleet::new(
-            DevicePowerModel::nexus4(), ScreenPolicy::SeparateEntity, step,
-        );
-        // First tenant runs hot, then is torn down abruptly mid-activity.
-        let slot = recycled.spawn(busy_usage(first_tenant), Battery::nexus4());
-        for _ in 0..pre_steps {
-            recycled.step();
-        }
-        prop_assert!(recycled.retire(slot));
-        let reused = recycled.spawn(busy_usage(second_tenant), Battery::nexus4());
-        prop_assert_eq!(reused, slot, "arena recycles the only retired slot");
-        prop_assert!(recycled.slot_is_clean(reused), "recycle left residue");
-        for _ in 0..post_steps {
-            recycled.step();
-        }
-
-        // A fleet that only ever hosted the second tenant, stepped the
-        // same number of times from its own spawn point.
-        let mut fresh = BatchFleet::new(
-            DevicePowerModel::nexus4(), ScreenPolicy::SeparateEntity, step,
-        );
-        let fresh_slot = fresh.spawn(busy_usage(second_tenant), Battery::nexus4());
-        for _ in 0..post_steps {
-            fresh.step();
-        }
-
-        let rows_recycled = recycled.accounts().entity_rows(reused);
-        let rows_fresh = fresh.accounts().entity_rows(fresh_slot);
-        prop_assert_eq!(rows_recycled.len(), rows_fresh.len());
-        for ((ea, ja), (eb, jb)) in rows_recycled.iter().zip(&rows_fresh) {
-            prop_assert_eq!(ea, eb);
-            prop_assert_eq!(ja.to_bits(), jb.to_bits(), "cross-tenant bleed");
-        }
-        for (a, b) in recycled
-            .accounts()
-            .component_joules(reused)
-            .iter()
-            .zip(fresh.accounts().component_joules(fresh_slot))
-        {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "cross-tenant bleed");
-        }
-        prop_assert_eq!(
-            recycled.battery(reused).drained().as_joules().to_bits(),
-            fresh.battery(fresh_slot).drained().as_joules().to_bits()
-        );
     }
 }
 

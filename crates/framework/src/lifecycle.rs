@@ -591,8 +591,7 @@ impl LifecycleReducer {
                 // Deliberately leaves `lost` untouched: a lock whose
                 // release was already eaten stays sweep-eligible even
                 // while a deferred death notification is pending — the
-                // sweep may win the race, exactly as the reference
-                // path's `release_lost` flag behaves.
+                // sweep may win the race.
                 self.wakelocks.remove(id);
                 self.deferred.insert(*id);
             }
@@ -642,9 +641,8 @@ impl LifecycleReducer {
     }
 
     /// The locks the reconciler should reclaim: desired-released but
-    /// observed-held because the release call was eaten. Ascending id
-    /// order — the same set, in the same order, as the reference path's
-    /// `release_lost` flag scan.
+    /// observed-held because the release call was eaten, in ascending id
+    /// order.
     #[must_use]
     pub fn lost_releases(&self) -> Vec<WakelockId> {
         self.lost.iter().copied().collect()

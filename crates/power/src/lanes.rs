@@ -8,7 +8,7 @@
 //! session start — into parallel arrays indexed by *lane*, and keeps a
 //! single parameter block shared by every lane. Stepping a fleet is then
 //! a sweep over flat arrays with no per-device virtual dispatch, and
-//! spawning a device is an index grab (see `ea-fleet`'s arena).
+//! adding a device is one `push_lane`.
 //!
 //! Byte-identity contract: [`PowerLanes::observe_into`] replicates
 //! [`DevicePowerModel::draws_into`] operation for operation — same
@@ -42,11 +42,6 @@ impl TailLane {
     fn push(&mut self) {
         self.last_active_at.push(None);
         self.last_users.push(Vec::new());
-    }
-
-    fn reset(&mut self, lane: usize) {
-        self.last_active_at[lane] = None;
-        self.last_users[lane].clear();
     }
 }
 
@@ -97,12 +92,6 @@ impl PowerLanes {
         }
     }
 
-    /// The shared hardware calibration.
-    #[must_use]
-    pub fn model(&self) -> &DevicePowerModel {
-        &self.model
-    }
-
     /// Appends one fresh lane and returns its index.
     pub fn push_lane(&mut self) -> usize {
         self.wifi.push();
@@ -114,84 +103,9 @@ impl PowerLanes {
         self.wifi.last_active_at.len() - 1
     }
 
-    /// Number of lanes in the block.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.wifi.last_active_at.len()
-    }
-
-    /// Restores `lane` to the factory state a fresh [`push_lane`] would
-    /// produce, so an arena can recycle it for a newly spawned device
-    /// with no cross-device bleed.
-    ///
-    /// [`push_lane`]: PowerLanes::push_lane
-    pub fn reset_lane(&mut self, lane: usize) {
-        self.wifi.reset(lane);
-        self.cellular.reset(lane);
-        self.cellular_state[lane] = CellularState::Idle;
-        self.gps_started[lane] = None;
-        self.screen_key[lane] = None;
-        self.screen_mw[lane] = 0.0;
-    }
-
-    /// Whether `lane` is indistinguishable from a freshly pushed lane.
-    #[must_use]
-    pub fn lane_is_clean(&self, lane: usize) -> bool {
-        self.wifi.last_active_at[lane].is_none()
-            && self.wifi.last_users[lane].is_empty()
-            && self.cellular.last_active_at[lane].is_none()
-            && self.cellular.last_users[lane].is_empty()
-            && self.cellular_state[lane] == CellularState::Idle
-            && self.gps_started[lane].is_none()
-            && self.screen_key[lane].is_none()
-    }
-
-    /// Whether `lane`, observed at `now` under `usage`, has reached a
-    /// *settled* operating point: every future [`observe_into`] with the
-    /// same `usage` at any later instant returns bit-identical draws and
-    /// mutates no lane state.
-    ///
-    /// Settled means no radio traffic this interval, both radio tails
-    /// already expired (an unexpired tail changes power when it lapses),
-    /// and no GPS session (GPS transitions acquire → track on a clock).
-    /// The CPU, screen, camera, and audio draws are pure functions of
-    /// `usage`, so they impose no extra conditions. Callers check this
-    /// *after* a full observe so the screen memo is warm and an ended GPS
-    /// session has been cleared; a batch engine may then replay the
-    /// interval's precomputed charges instead of re-evaluating the kernel
-    /// — bit-equal by construction, because repeating an identical f64
-    /// accumulation is the recomputation.
-    ///
-    /// [`observe_into`]: PowerLanes::observe_into
-    #[must_use]
-    pub fn lane_is_settled(&self, lane: usize, now: SimTime, usage: &DeviceUsage) -> bool {
-        let wifi_quiet = !usage.wifi.iter().any(|radio| radio.throughput_kbps > 0.0);
-        let cell_quiet = !usage
-            .cellular
-            .iter()
-            .any(|radio| radio.throughput_kbps > 0.0);
-        let wifi_tail_done = self.wifi.last_active_at[lane]
-            .is_none_or(|at| now.saturating_since(at) > self.model.wifi.tail);
-        let cell_tail_done = self.cellular.last_active_at[lane].is_none_or(|at| {
-            let since = now.saturating_since(at);
-            since > self.model.cellular.dch_tail && since > self.model.cellular.fach_tail
-        });
-        wifi_quiet
-            && cell_quiet
-            && wifi_tail_done
-            && cell_tail_done
-            && usage.gps.is_empty()
-            && self.gps_started[lane].is_none()
-    }
-
     /// Lane-state mirror of [`WifiModel::observe`](crate::WifiModel::observe):
     /// identical branches and arithmetic against `lane`'s flat state.
-    pub fn wifi_observe(
-        &mut self,
-        lane: usize,
-        now: SimTime,
-        traffic: &[RadioUse],
-    ) -> (f64, &[Uid]) {
+    fn wifi_observe(&mut self, lane: usize, now: SimTime, traffic: &[RadioUse]) -> (f64, &[Uid]) {
         let params = &self.model.wifi;
         let last_at = &mut self.wifi.last_active_at[lane];
         let users = &mut self.wifi.last_users[lane];
@@ -225,7 +139,7 @@ impl PowerLanes {
 
     /// Lane-state mirror of
     /// [`CellularModel::observe`](crate::CellularModel::observe).
-    pub fn cellular_observe(
+    fn cellular_observe(
         &mut self,
         lane: usize,
         now: SimTime,
@@ -276,7 +190,7 @@ impl PowerLanes {
     }
 
     /// Lane-state mirror of [`GpsModel::observe`](crate::GpsModel::observe).
-    pub fn gps_observe<'a>(
+    fn gps_observe<'a>(
         &mut self,
         lane: usize,
         now: SimTime,
@@ -300,7 +214,7 @@ impl PowerLanes {
     /// Screen draw with per-lane memoization: bit-equal to
     /// [`ScreenModel::power_with_content`](crate::ScreenModel::power_with_content),
     /// paying the gamma `powf` only when the panel inputs change.
-    pub fn screen_power(&mut self, lane: usize, on: bool, brightness: u8, luma: f64) -> f64 {
+    fn screen_power(&mut self, lane: usize, on: bool, brightness: u8, luma: f64) -> f64 {
         let key = Some((on, brightness, luma.to_bits()));
         if self.screen_key[lane] != key {
             self.screen_key[lane] = key;
@@ -546,29 +460,5 @@ mod tests {
             let fresh = screen.power_with_content(on, brightness, luma);
             assert_eq!(memo.to_bits(), fresh.to_bits());
         }
-    }
-
-    #[test]
-    fn reset_lane_is_state_clean() {
-        let mut lanes = PowerLanes::new(DevicePowerModel::nexus4());
-        let lane = lanes.push_lane();
-        let mut usage = DeviceUsage::idle();
-        usage.screen = ScreenUsage::on(255, Some(uid(1)));
-        usage.wifi = vec![radio(1, 2_000.0)];
-        usage.cellular = vec![radio(1, 500.0)];
-        usage.gps = vec![uid(1)];
-        let mut out = Vec::new();
-        lanes.observe_into(lane, SimTime::ZERO, &usage, &mut out);
-        assert!(!lanes.lane_is_clean(lane));
-        lanes.reset_lane(lane);
-        assert!(lanes.lane_is_clean(lane));
-
-        // A recycled lane behaves exactly like a fresh one.
-        let fresh = lanes.push_lane();
-        let mut recycled_draws = Vec::new();
-        let mut fresh_draws = Vec::new();
-        lanes.observe_into(lane, SimTime::from_secs(1), &usage, &mut recycled_draws);
-        lanes.observe_into(fresh, SimTime::from_secs(1), &usage, &mut fresh_draws);
-        assert_eq!(recycled_draws, fresh_draws);
     }
 }

@@ -54,8 +54,8 @@ pub struct WindowStats {
     pub crashed: u64,
     /// Crashed devices whose failure carried a lifecycle intent-log
     /// tail — i.e. whose forensics bundle is complete and replayable
-    /// with `eandroid replay`. Equals `crashed` on the default reducer
-    /// lifecycle path; zero under `--reference-lifecycle`.
+    /// with `eandroid replay`. Equals `crashed`: every lane attaches an
+    /// intent recorder.
     #[serde(default)]
     pub crashed_replayable: u64,
     /// Devices that completed their day in this window.

@@ -43,9 +43,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod binder;
-mod calendar;
 mod clock;
 mod error;
 mod event;

@@ -25,56 +25,39 @@ proptest! {
     }
 
     #[test]
-    fn calendar_queue_matches_heap_pop_for_pop(
-        // Times mix dense near-future ties (0..2_000 ms collides within
-        // buckets), multi-revolution gaps, and far-future overflow spikes.
+    fn event_queue_matches_a_linear_scan_oracle_under_interleaving(
+        // Dense near-future ties, wider gaps, and far-future spikes.
         times in proptest::collection::vec(
             prop_oneof![0u64..2_000, 0u64..60_000, 0u64..10_000_000],
             1..300,
         ),
-        // After each schedule, pop this many events from both backends.
+        // After each schedule, pop this many events.
         pops in proptest::collection::vec(0usize..3, 1..300),
     ) {
-        let mut calendar = EventQueue::new();
-        let mut heap = EventQueue::reference();
+        // The oracle: pending `(at, seq)` pairs, popped by a linear scan
+        // for the minimum.
+        let mut oracle: Vec<(SimTime, u64)> = Vec::new();
+        let mut queue = EventQueue::new();
+        let pop_both = |queue: &mut EventQueue<usize>,
+                            oracle: &mut Vec<(SimTime, u64)>|
+         -> Result<bool, TestCaseError> {
+            let expected = (0..oracle.len()).min_by_key(|&i| oracle[i]);
+            let expected = expected.map(|i| oracle.remove(i));
+            prop_assert_eq!(queue.peek_time(), expected.map(|(at, _)| at));
+            let popped = queue.pop_next().map(|event| (event.at, event.seq));
+            prop_assert_eq!(popped, expected);
+            Ok(popped.is_some())
+        };
         for (index, &time) in times.iter().enumerate() {
             let at = SimTime::from_millis(time);
-            prop_assert_eq!(calendar.schedule(at, index), heap.schedule(at, index));
+            let seq = queue.schedule(at, index);
+            oracle.push((at, seq));
             for _ in 0..pops.get(index).copied().unwrap_or(0) {
-                prop_assert_eq!(calendar.peek_time(), heap.peek_time());
-                let (a, b) = (calendar.pop_next(), heap.pop_next());
-                prop_assert_eq!(a, b, "interleaved pop diverged at schedule {}", index);
+                pop_both(&mut queue, &mut oracle)?;
             }
-            prop_assert_eq!(calendar.len(), heap.len());
+            prop_assert_eq!(queue.len(), oracle.len());
         }
-        loop {
-            prop_assert_eq!(calendar.peek_time(), heap.peek_time());
-            let (a, b) = (calendar.pop_next(), heap.pop_next());
-            prop_assert_eq!(a.clone(), b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn calendar_queue_preserves_fifo_among_same_instant_bursts(
-        instants in proptest::collection::vec(0u64..500, 1..40),
-        burst in 1usize..20,
-    ) {
-        let mut calendar = EventQueue::new();
-        let mut heap = EventQueue::reference();
-        for &instant in &instants {
-            for copy in 0..burst {
-                let at = SimTime::from_millis(instant);
-                calendar.schedule(at, copy);
-                heap.schedule(at, copy);
-            }
-        }
-        while let Some(expected) = heap.pop_next() {
-            prop_assert_eq!(calendar.pop_next(), Some(expected));
-        }
-        prop_assert!(calendar.pop_next().is_none());
+        while pop_both(&mut queue, &mut oracle)? {}
     }
 
     #[test]

@@ -1,24 +1,30 @@
 //! `eandroid` — command-line front end to the E-Android reproduction.
 //!
 //! ```text
-//! eandroid scenario <name|all> [--mode android|eandroid] [--policy separate|foreground] [--routines] [--timeline] [--detect]
+//! eandroid scenario <name|all> [--mode android|eandroid] [--policy separate|foreground] [--routines] [--timeline] [--detect] [--faults <rate|plan.json>] [--fault-seed N]
 //! eandroid depletion [<case>|all] [--cap-hours N]
 //! eandroid corpus [--seed N] [--size N] [--show-xml]
 //! eandroid micro [--runs N]
 //! eandroid antutu
 //! eandroid workload [--seed N] [--sessions N]
-//! eandroid fleet [--size N] [--seed N] [--jobs J] [--json] [--trace <base>] [--faults <rate|plan.json>] [--watch] [--heartbeat <path>] [--flight-recorder N] [--batch-kernel on|off] [--reference-scheduler] [--reference-lifecycle]
+//! eandroid fleet [<fleet flags>] [--trace <base>]
 //! eandroid replay <report.json> [--healthy N] [--json]
-//! eandroid metrics [--size N] [--seed N] [--jobs J] [--json]
-//! eandroid serve [--size N] [--seed N] [--lanes L] [--socket <path>] [--hold] [--json] [--watch] [--heartbeat <path>]
+//! eandroid metrics [<fleet flags>]
+//! eandroid serve [<fleet flags>] [--lanes L] [--ring N] [--window N] [--socket <path>] [--hold]
 //! eandroid query [--socket <path>] <ping|snapshot|window|report|shutdown>
 //! eandroid chaos [--seed N] [--fleet-size N] [--quick] [--json]
 //! eandroid list
 //! eandroid help
 //! ```
 //!
+//! where `<fleet flags>` are `[--size N] [--seed N] [--jobs J] [--json]
+//! [--inject-panic N] [--faults <rate|plan.json>] [--watch]
+//! [--heartbeat <path>] [--flight-recorder N] [--batch-kernel on|off]`.
+//!
 //! Argument parsing is hand-rolled: the interface is small and the workspace
-//! keeps its dependency set minimal (see DESIGN.md §6).
+//! keeps its dependency set minimal (see DESIGN.md §6). `scenario`, `fleet`,
+//! `serve` and `metrics` reject an unknown flag or a malformed number with
+//! exit code 2 and their usage line.
 
 use std::process::ExitCode;
 
@@ -51,8 +57,6 @@ COMMANDS:
         --detect                   also print the collateral-bug report
         --faults <rate|plan.json>  inject seeded faults (DESIGN.md \u{a7}11)
         --fault-seed N             fault-plan seed (default 2026)
-        --reference-lifecycle      pre-reducer imperative lifecycle path
-                                   (oracle path, same bytes)
     depletion [<case>|all]  replay the Figure 3 battery race
         --cap-hours N              stop after N simulated hours (default 24)
     corpus                  generate + analyze the Figure 2 corpus
@@ -86,11 +90,6 @@ COMMANDS:
                                    dumped into the report on device abandonment
         --batch-kernel on|off      struct-of-arrays power kernel (default on;
                                    off = per-device model structs, same bytes)
-        --reference-scheduler      binary-heap event queue instead of the
-                                   calendar queue (oracle path, same bytes)
-        --reference-lifecycle      imperative lifecycle path without the
-                                   intent log (oracle path, same bytes;
-                                   crashed devices carry no replay bundle)
     replay <report.json>    re-execute every failure recorded in a fleet
                             report and verify it reproduces exactly
         --healthy N                also re-simulate N completed devices
@@ -98,7 +97,7 @@ COMMANDS:
         --json                     emit the replay verdicts as JSON
     metrics                 run a fleet and print its health snapshot
         --json                     one JSONL snapshot instead of Prometheus text
-        (also accepts the fleet sizing/fault/watch/heartbeat flags above)
+        (also accepts every fleet flag above except --trace)
     serve                   stream the fleet through the ingest service
         --lanes L                  ingest lanes (default: all cores)
         --ring N                   SPSC ring capacity per lane (default 1024)
@@ -106,8 +105,8 @@ COMMANDS:
         --socket <path>            serve snapshot queries on a Unix socket
         --hold                     keep serving after the stream drains,
                                    until a shutdown query arrives
-        (also accepts the fleet sizing/fault/watch/heartbeat flags above;
-         the final report is byte-identical to `eandroid fleet`)
+        (also accepts every fleet flag above except --trace; the
+         final report is byte-identical to `eandroid fleet`)
     query <op>              query a running serve instance; ops: ping,
                             snapshot, window, report, shutdown
         --socket <path>            the service's socket (required)
@@ -172,6 +171,140 @@ fn has_flag(args: &[&str], flag: &str) -> bool {
     args.contains(&flag)
 }
 
+/// One flag a command accepts: its name and the placeholder of its value
+/// (`None` for a switch).
+type Flag = (&'static str, Option<&'static str>);
+
+/// The arguments one command accepts. Its usage line is built from these
+/// lists, so each flag is declared once.
+struct Usage {
+    command: &'static str,
+    /// Leading positional arguments, as the usage line shows them.
+    positionals: &'static [&'static str],
+    flags: &'static [&'static [Flag]],
+}
+
+/// Flags shared by `fleet`, `metrics` and `serve` (parsed by
+/// [`parse_fleet_config`] and the observatory wiring).
+const FLEET_FLAGS: &[Flag] = &[
+    ("--size", Some("N")),
+    ("--seed", Some("N")),
+    ("--jobs", Some("J")),
+    ("--json", None),
+    ("--inject-panic", Some("N")),
+    ("--faults", Some("<rate|plan.json>")),
+    ("--watch", None),
+    ("--heartbeat", Some("<path>")),
+    ("--flight-recorder", Some("N")),
+    ("--batch-kernel", Some("on|off")),
+];
+
+const SCENARIO_USAGE: Usage = Usage {
+    command: "scenario",
+    positionals: &["<name|all>"],
+    flags: &[&[
+        ("--mode", Some("android|eandroid")),
+        ("--policy", Some("separate|foreground")),
+        ("--routines", None),
+        ("--timeline", None),
+        ("--detect", None),
+        ("--faults", Some("<rate|plan.json>")),
+        ("--fault-seed", Some("N")),
+    ]],
+};
+
+const FLEET_USAGE: Usage = Usage {
+    command: "fleet",
+    positionals: &[],
+    flags: &[FLEET_FLAGS, &[("--trace", Some("<base>"))]],
+};
+
+const METRICS_USAGE: Usage = Usage {
+    command: "metrics",
+    positionals: &[],
+    flags: &[FLEET_FLAGS],
+};
+
+const SERVE_USAGE: Usage = Usage {
+    command: "serve",
+    positionals: &[],
+    flags: &[
+        FLEET_FLAGS,
+        &[
+            ("--lanes", Some("L")),
+            ("--ring", Some("N")),
+            ("--window", Some("N")),
+            ("--socket", Some("<path>")),
+            ("--hold", None),
+        ],
+    ],
+};
+
+impl Usage {
+    fn flag(&self, arg: &str) -> Option<Flag> {
+        self.flags
+            .iter()
+            .flat_map(|flags| flags.iter())
+            .find(|(flag, _)| *flag == arg)
+            .copied()
+    }
+
+    /// Rejects any argument after the positionals that is not a flag of
+    /// this command, and a value flag with no value.
+    fn check(&self, args: &[&str]) -> Result<(), ExitCode> {
+        let mut rest = args.iter().skip(self.positionals.len());
+        while let Some(&arg) = rest.next() {
+            match self.flag(arg) {
+                None => return Err(self.reject(&format!("unknown argument: {arg}"))),
+                Some((_, Some(_))) => {
+                    if rest.next().is_none() {
+                        return Err(self.reject(&format!("{arg} needs a value")));
+                    }
+                }
+                Some((_, None)) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// The value of `flag` parsed as a number, `None` when absent.
+    fn number<T: std::str::FromStr>(
+        &self,
+        args: &[&str],
+        flag: &str,
+    ) -> Result<Option<T>, ExitCode> {
+        flag_value(args, flag)
+            .map(|value| {
+                value
+                    .parse()
+                    .map_err(|_| self.reject(&format!("{flag} expects a number, got {value:?}")))
+            })
+            .transpose()
+    }
+
+    fn line(&self) -> String {
+        let mut line = format!("usage: eandroid {}", self.command);
+        for positional in self.positionals {
+            line.push(' ');
+            line.push_str(positional);
+        }
+        for (flag, value) in self.flags.iter().flat_map(|flags| flags.iter()) {
+            match value {
+                Some(value) => line.push_str(&format!(" [{flag} {value}]")),
+                None => line.push_str(&format!(" [{flag}]")),
+            }
+        }
+        line
+    }
+
+    /// The bad-argument exit: the message and this command's usage line on
+    /// stderr, exit code 2.
+    fn reject(&self, message: &str) -> ExitCode {
+        eprintln!("{}: {message}\n{}", self.command, self.line());
+        ExitCode::from(2)
+    }
+}
+
 fn parse_policy(args: &[&str]) -> Result<ScreenPolicy, String> {
     match flag_value(args, "--policy") {
         None | Some("separate") => Ok(ScreenPolicy::SeparateEntity),
@@ -185,6 +318,9 @@ fn cmd_scenario(args: &[&str]) -> ExitCode {
         eprintln!("scenario: missing name (try `eandroid list`)");
         return ExitCode::FAILURE;
     };
+    if let Err(code) = SCENARIO_USAGE.check(args) {
+        return code;
+    }
     let policy = match parse_policy(args) {
         Ok(policy) => policy,
         Err(message) => {
@@ -201,9 +337,10 @@ fn cmd_scenario(args: &[&str]) -> ExitCode {
         }
     };
 
-    let fault_seed: u64 = flag_value(args, "--fault-seed")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(2_026);
+    let fault_seed: u64 = match SCENARIO_USAGE.number(args, "--fault-seed") {
+        Ok(seed) => seed.unwrap_or(2_026),
+        Err(code) => return code,
+    };
     let faults = match flag_value(args, "--faults") {
         Some(spec) => match FaultPlan::parse(spec, fault_seed) {
             Ok(plan) => Some(plan),
@@ -236,10 +373,6 @@ fn cmd_scenario(args: &[&str]) -> ExitCode {
         if has_flag(args, "--routines") {
             profiler = profiler.with_routine_accounting();
         }
-        let mut android = AndroidSystem::new();
-        if has_flag(args, "--reference-lifecycle") {
-            android.set_reference_lifecycle(true);
-        }
         let run = match &faults {
             Some(plan) => {
                 // Lanes follow the scenario's position in `Scenario::ALL`
@@ -248,10 +381,9 @@ fn cmd_scenario(args: &[&str]) -> ExitCode {
                     .iter()
                     .position(|s| s.name() == scenario.name())
                     .unwrap_or(0) as u64;
-                android.attach_faults(plan.framework_faults(lane));
-                scenario.run_with(android, profiler.with_chaos(plan.power_faults(lane)))
+                scenario.run_chaos(profiler, plan, lane)
             }
-            None => scenario.run_with(android, profiler),
+            None => scenario.run(profiler),
         };
         let labels = labels_from(&run.android);
 
@@ -431,46 +563,42 @@ fn cmd_workload(args: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds a [`FleetConfig`] from the shared fleet/metrics flag set.
-fn parse_fleet_config(command: &str, args: &[&str]) -> Result<FleetConfig, String> {
+/// Builds a [`FleetConfig`] from the shared fleet/metrics/serve flag
+/// set, after checking `args` against `usage`. Bad arguments exit 2 with
+/// the usage line; a fault plan that fails to load exits 1.
+fn parse_fleet_config(usage: &Usage, args: &[&str]) -> Result<FleetConfig, ExitCode> {
+    usage.check(args)?;
     let mut config = FleetConfig::default();
-    if let Some(size) = flag_value(args, "--size").and_then(|value| value.parse().ok()) {
+    if let Some(size) = usage.number(args, "--size")? {
         config.size = size;
     }
-    if let Some(seed) = flag_value(args, "--seed").and_then(|value| value.parse().ok()) {
+    if let Some(seed) = usage.number(args, "--seed")? {
         config.seed = seed;
     }
-    if let Some(jobs) = flag_value(args, "--jobs").and_then(|value| value.parse().ok()) {
+    if let Some(jobs) = usage.number(args, "--jobs")? {
         config.jobs = jobs;
     }
-    if let Some(index) = flag_value(args, "--inject-panic").and_then(|value| value.parse().ok()) {
+    if let Some(index) = usage.number(args, "--inject-panic")? {
         config.panic_devices.push(index);
     }
-    if let Some(capacity) =
-        flag_value(args, "--flight-recorder").and_then(|value| value.parse().ok())
-    {
+    if let Some(capacity) = usage.number(args, "--flight-recorder")? {
         config.flight_recorder = capacity;
-    }
-    if let Some(spec) = flag_value(args, "--faults") {
-        match FaultPlan::parse(spec, config.seed) {
-            Ok(plan) => config.faults = Some(plan),
-            Err(message) => return Err(format!("{command}: {message}")),
-        }
     }
     match flag_value(args, "--batch-kernel") {
         None | Some("on") => config.batch_kernel = true,
         Some("off") => config.batch_kernel = false,
         Some(other) => {
-            return Err(format!(
-                "{command}: --batch-kernel expects on|off, got {other}"
-            ))
+            return Err(usage.reject(&format!("--batch-kernel expects on|off, got {other}")))
         }
     }
-    if has_flag(args, "--reference-scheduler") {
-        config.reference_scheduler = true;
-    }
-    if has_flag(args, "--reference-lifecycle") {
-        config.reference_lifecycle = true;
+    if let Some(spec) = flag_value(args, "--faults") {
+        match FaultPlan::parse(spec, config.seed) {
+            Ok(plan) => config.faults = Some(plan),
+            Err(message) => {
+                eprintln!("{}: {message}", usage.command);
+                return Err(ExitCode::FAILURE);
+            }
+        }
     }
     Ok(config)
 }
@@ -519,12 +647,9 @@ fn run_fleet_with_observatory(
 }
 
 fn cmd_fleet(args: &[&str]) -> ExitCode {
-    let config = match parse_fleet_config("fleet", args) {
+    let config = match parse_fleet_config(&FLEET_USAGE, args) {
         Ok(config) => config,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
 
     let trace = flag_value(args, "--trace").map(ea_bench::TraceRequest::to_base);
@@ -668,12 +793,9 @@ fn cmd_replay(args: &[&str]) -> ExitCode {
 /// with `--json`). The deterministic report itself is discarded: this
 /// command is the observability surface, `eandroid fleet` the report one.
 fn cmd_metrics(args: &[&str]) -> ExitCode {
-    let config = match parse_fleet_config("metrics", args) {
+    let config = match parse_fleet_config(&METRICS_USAGE, args) {
         Ok(config) => config,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
 
     let watch = has_flag(args, "--watch");
@@ -707,22 +829,25 @@ fn cmd_metrics(args: &[&str]) -> ExitCode {
 /// service and print the drained deterministic report, byte-identical
 /// to `eandroid fleet` over the same seed/size at any `--lanes`.
 fn cmd_serve(args: &[&str]) -> ExitCode {
-    let fleet = match parse_fleet_config("serve", args) {
+    let fleet = match parse_fleet_config(&SERVE_USAGE, args) {
         Ok(config) => config,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let mut config = ServeConfig::new(fleet);
-    if let Some(lanes) = flag_value(args, "--lanes").and_then(|value| value.parse().ok()) {
-        config.lanes = lanes;
-    }
-    if let Some(capacity) = flag_value(args, "--ring").and_then(|value| value.parse().ok()) {
-        config.ring_capacity = capacity;
-    }
-    if let Some(events) = flag_value(args, "--window").and_then(|value| value.parse().ok()) {
-        config.window_events = events;
+    let sizes = (|| -> Result<(), ExitCode> {
+        if let Some(lanes) = SERVE_USAGE.number(args, "--lanes")? {
+            config.lanes = lanes;
+        }
+        if let Some(capacity) = SERVE_USAGE.number(args, "--ring")? {
+            config.ring_capacity = capacity;
+        }
+        if let Some(events) = SERVE_USAGE.number(args, "--window")? {
+            config.window_events = events;
+        }
+        Ok(())
+    })();
+    if let Err(code) = sizes {
+        return code;
     }
     config.socket = flag_value(args, "--socket").map(std::path::PathBuf::from);
     config.hold = has_flag(args, "--hold");

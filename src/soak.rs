@@ -8,9 +8,10 @@
 //!    recorded failure. The profiling pipeline itself never unwinds.
 //! 2. **Conservation** — energy attributed after sanitization never
 //!    exceeds the true energy drawn from the battery.
-//! 3. **Determinism** — the dense and reference accounting backends stay
-//!    byte-identical under identical fault plans, and a zero-rate plan is
-//!    byte-identical to no plan at all.
+//! 3. **Determinism** — rerunning a scenario under the same seed and
+//!    fault plan reproduces its ledger, collateral graph and battery view
+//!    byte for byte, and a zero-rate plan is byte-identical to no plan at
+//!    all.
 //! 4. **Verdict stability** — sub-threshold measurement noise (counter
 //!    glitches only) never changes which attacks the monitor detects.
 //! 5. **Replay fidelity** — every abandoned device's recorded failure
@@ -111,6 +112,17 @@ fn run_digest(run: &ea_apps::RunOutput) -> String {
     )
 }
 
+/// [`run_digest`] plus the serialized ledger and collateral graph.
+fn run_bytes(run: &ea_apps::RunOutput) -> String {
+    let ledger = serde_json::to_string(run.profiler.ledger()).unwrap_or_default();
+    let graph = run
+        .profiler
+        .collateral()
+        .and_then(|graph| serde_json::to_string(graph).ok())
+        .unwrap_or_default();
+    format!("{}|{ledger}|{graph}", run_digest(run))
+}
+
 fn profiler() -> Profiler {
     Profiler::eandroid(ScreenPolicy::SeparateEntity)
 }
@@ -206,23 +218,24 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
                 }
             }
 
-            // Invariant 3b: dense and reference accounting agree byte-
-            // for-byte under the identical plan.
-            let reference = panic::catch_unwind(AssertUnwindSafe(|| {
-                scenario.run_chaos(profiler().with_reference_accounting(), &plan, lane)
+            // Invariant 3b: a faulted run is a pure function of its
+            // seed and plan — rerunning the same plan reproduces it
+            // byte for byte.
+            let rerun = panic::catch_unwind(AssertUnwindSafe(|| {
+                scenario.run_chaos(profiler(), &plan, lane)
             }));
             report.scenario_runs += 1;
-            match reference {
-                Ok(reference) => {
-                    if run_digest(&reference) != run_digest(&run) {
-                        report.violations.push(format!(
-                            "{name}: dense and reference accounting diverged at rate {rate}"
-                        ));
+            match rerun {
+                Ok(rerun) => {
+                    if run_bytes(&rerun) != run_bytes(&run) {
+                        report
+                            .violations
+                            .push(format!("{name}: same-plan rerun diverged at rate {rate}"));
                     }
                 }
                 Err(_) => report
                     .violations
-                    .push(format!("{name}: reference path panicked at rate {rate}")),
+                    .push(format!("{name}: same-plan rerun panicked at rate {rate}")),
             }
         }
     }
