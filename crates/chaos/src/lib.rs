@@ -29,6 +29,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Fallible paths must return errors, not panic: unwrap/expect are
+// banned outside tests (DESIGN.md §11).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod fault_log;
 mod framework;

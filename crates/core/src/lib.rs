@@ -97,8 +97,8 @@ pub use timeline::{AttackTimeline, TimelineRow};
 /// serialize intent logs without depending on `ea-framework` directly.
 pub mod intentlog {
     pub use ea_framework::{
-        Cause, IntentLog, IntentLogDump, IntentLogRecorder, LifecycleIntent, LifecycleOp,
-        LifecycleReducer, INTENT_LOG_CAPACITY,
+        Cause, IntentLogDump, IntentLogRecorder, LifecycleIntent, LifecycleOp, LifecycleReducer,
+        INTENT_LOG_CAPACITY,
     };
 }
 

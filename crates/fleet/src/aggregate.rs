@@ -44,9 +44,9 @@ pub struct DeviceFailure {
     #[serde(default)]
     pub flight_recorder: Option<FlightDump>,
     /// The tail of the final attempt's lifecycle intent log, salvaged
-    /// through the supervisor's recorder mirror. Present whenever the
-    /// supervisor attached a recorder, as every `fleet` and `serve` run
-    /// does.
+    /// from the recorder the supervisor attaches to every device run, so
+    /// every supervised failure carries one (the field is optional only
+    /// so hand-made reports without it still load).
     /// Together with `checkpoint` this is the replay input:
     /// `eandroid replay` re-executes the device and asserts the fresh
     /// log matches this one byte for byte.

@@ -6,8 +6,8 @@
 //! profiler state is local, and nothing reads clocks or global state, so
 //! the same device produces the same report on any worker thread.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ea_apps::demo::{packages, DemoApps, ACTION_VIDEO_CAPTURE};
 use ea_apps::malware::{Malware, MALWARE_PACKAGE};
@@ -127,70 +127,48 @@ pub struct DeviceReport {
     pub fault_log: FaultLog,
 }
 
+/// Side channels of one device run. None of them feeds back into the
+/// simulation: every hook sees only sim-time data, so the report is
+/// byte-identical with or without them. [`DeviceHooks::default`] runs
+/// attempt 0 with nothing attached.
+#[derive(Default, Clone, Copy)]
+pub struct DeviceHooks<'a> {
+    /// Supervisor retry number; it re-keys the chaos device panic, so a
+    /// retry can succeed where the first attempt crashed.
+    pub attempt: u32,
+    /// Called after every completed session with the device's progress
+    /// snapshot (the supervisor salvages the last one after a panic, the
+    /// streaming service forwards each into its ingest lane).
+    pub on_checkpoint: Option<&'a dyn Fn(DeviceCheckpoint)>,
+    /// Receives every framework and profiler emission (usually an
+    /// [`ea_metrics::FlightRecorder`]).
+    pub flight: Option<&'a SinkHandle>,
+    /// Receives every lifecycle intent the framework records; it
+    /// survives a panic unwinding and becomes the
+    /// [`crate::DeviceFailure`] replay tail.
+    pub intents: Option<&'a Arc<IntentLogRecorder>>,
+}
+
 /// Simulates device `index` of the fleet and reports the outcome.
 ///
 /// # Panics
 ///
-/// Panics when `index` is listed in `config.panic_devices` (deliberate
-/// fault injection; the engine catches it and records a
+/// Panics when `index` is listed in `config.panic_devices`, or when the
+/// config's fault plan injects a device panic for `hooks.attempt`
+/// (deliberate fault injection; the supervisor catches it and records a
 /// [`crate::DeviceFailure`]).
-pub fn simulate_device(config: &FleetConfig, corpus: &[AppManifest], index: usize) -> DeviceReport {
-    let checkpoint = Cell::new(None);
-    simulate_device_attempt(config, corpus, index, 0, &checkpoint, None)
-}
-
-/// [`simulate_device`] under supervision: `attempt` re-keys the injected
-/// device panic (so a retry can succeed where the first attempt crashed)
-/// and `checkpoint` receives a progress snapshot after every completed
-/// session, readable by the supervisor even after a panic unwinds.
-/// `flight` (usually an [`ea_metrics::FlightRecorder`]) receives every
-/// framework and profiler emission; because the sink sees only sim-time
-/// data and emission never feeds back into the simulation, attaching one
-/// does not change the report.
-pub fn simulate_device_attempt(
+pub fn simulate_device(
     config: &FleetConfig,
     corpus: &[AppManifest],
     index: usize,
-    attempt: u32,
-    checkpoint: &Cell<Option<DeviceCheckpoint>>,
-    flight: Option<&SinkHandle>,
+    hooks: &DeviceHooks<'_>,
 ) -> DeviceReport {
-    let on_checkpoint = |snapshot: DeviceCheckpoint| checkpoint.set(Some(snapshot));
-    simulate_device_observed(config, corpus, index, attempt, &on_checkpoint, flight)
-}
-
-/// [`simulate_device_attempt`] with a checkpoint *callback* instead of a
-/// cell: `on_checkpoint` fires after every completed session with the
-/// device's progress snapshot. The streaming service forwards these into
-/// its ingest lanes; the batch path wraps a [`Cell`] setter around it.
-/// Observation only — attaching a callback never changes the report.
-pub fn simulate_device_observed(
-    config: &FleetConfig,
-    corpus: &[AppManifest],
-    index: usize,
-    attempt: u32,
-    on_checkpoint: &dyn Fn(DeviceCheckpoint),
-    flight: Option<&SinkHandle>,
-) -> DeviceReport {
-    simulate_device_forensic(config, corpus, index, attempt, on_checkpoint, flight, None)
-}
-
-/// [`simulate_device_observed`] with an intent-log mirror: when `intents`
-/// is attached (and the config runs the default reducer lifecycle path),
-/// every lifecycle transition the device's framework records is also
-/// appended to the shared recorder, which survives a panic unwinding and
-/// becomes the [`crate::DeviceFailure`] forensics tail. Observation only
-/// — attaching a recorder never changes the report.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_device_forensic(
-    config: &FleetConfig,
-    corpus: &[AppManifest],
-    index: usize,
-    attempt: u32,
-    on_checkpoint: &dyn Fn(DeviceCheckpoint),
-    flight: Option<&SinkHandle>,
-    intents: Option<&std::sync::Arc<IntentLogRecorder>>,
-) -> DeviceReport {
+    let DeviceHooks {
+        attempt,
+        on_checkpoint,
+        flight,
+        intents,
+    } = *hooks;
     assert!(
         !config.panic_devices.contains(&index),
         "injected fault in device {index}"
@@ -339,11 +317,13 @@ pub fn simulate_device_forensic(
         let idle = rng.range_u64(1, config.mean_idle_secs.max(2) * 2);
         profiler.run(&mut android, SimDuration::from_secs(idle));
 
-        on_checkpoint(DeviceCheckpoint {
-            sessions_completed: session + 1,
-            sim_seconds: android.now().as_secs_f64(),
-            drained_joules: profiler.battery().drained().as_joules(),
-        });
+        if let Some(on_checkpoint) = on_checkpoint {
+            on_checkpoint(DeviceCheckpoint {
+                sessions_completed: session + 1,
+                sim_seconds: android.now().as_secs_f64(),
+                drained_joules: profiler.battery().drained().as_joules(),
+            });
+        }
     }
 
     distill(
@@ -689,8 +669,8 @@ mod tests {
     fn device_is_deterministic() {
         let config = FleetConfig::smoke(1, 99);
         let corpus = corpus_for(&config);
-        let a = simulate_device(&config, &corpus, 0);
-        let b = simulate_device(&config, &corpus, 0);
+        let a = simulate_device(&config, &corpus, 0, &DeviceHooks::default());
+        let b = simulate_device(&config, &corpus, 0, &DeviceHooks::default());
         assert_eq!(a, b);
     }
 
@@ -698,7 +678,7 @@ mod tests {
     fn kernel_axis_is_result_equivalent() {
         let config = FleetConfig::smoke(1, 99);
         let corpus = corpus_for(&config);
-        let lanes = simulate_device(&config, &corpus, 0);
+        let lanes = simulate_device(&config, &corpus, 0, &DeviceHooks::default());
         let structs = simulate_device(
             &FleetConfig {
                 batch_kernel: false,
@@ -706,6 +686,7 @@ mod tests {
             },
             &corpus,
             0,
+            &DeviceHooks::default(),
         );
         assert_eq!(lanes, structs, "the power kernel must not move a result");
     }
@@ -714,8 +695,8 @@ mod tests {
     fn different_devices_differ() {
         let config = FleetConfig::smoke(2, 7);
         let corpus = corpus_for(&config);
-        let a = simulate_device(&config, &corpus, 0);
-        let b = simulate_device(&config, &corpus, 1);
+        let a = simulate_device(&config, &corpus, 0, &DeviceHooks::default());
+        let b = simulate_device(&config, &corpus, 1, &DeviceHooks::default());
         assert_ne!(a.seed, b.seed);
         assert_ne!(a.drained_joules, b.drained_joules);
     }
@@ -724,7 +705,7 @@ mod tests {
     fn device_burns_energy_and_lints_its_apps() {
         let config = FleetConfig::smoke(1, 3);
         let corpus = corpus_for(&config);
-        let report = simulate_device(&config, &corpus, 0);
+        let report = simulate_device(&config, &corpus, 0, &DeviceHooks::default());
         assert!(report.drained_joules > 0.0);
         assert!(report.battery_percent < 100.0);
         assert!(report.sim_seconds > 0.0);
@@ -740,7 +721,7 @@ mod tests {
         };
         let corpus = corpus_for(&config);
         for index in 0..config.size {
-            let report = simulate_device(&config, &corpus, index);
+            let report = simulate_device(&config, &corpus, index, &DeviceHooks::default());
             assert_eq!(
                 report.soundness_violations, 0,
                 "device {index}: static prediction must cover dynamic observation"
@@ -756,6 +737,6 @@ mod tests {
             ..FleetConfig::smoke(1, 1)
         };
         let corpus = corpus_for(&config);
-        let _ = simulate_device(&config, &corpus, 0);
+        let _ = simulate_device(&config, &corpus, 0, &DeviceHooks::default());
     }
 }

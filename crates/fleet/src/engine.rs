@@ -27,11 +27,11 @@
 //! terminal while everyone else's devices keep simulating.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use ea_corpus::{generate_corpus, CorpusConfig};
-use ea_metrics::{FleetObservatory, FlightRecorder, QuantileSketch};
+use ea_metrics::{FleetObservatory, QuantileSketch};
 use ea_telemetry::{span, SinkHandle};
 use serde::{Deserialize, Serialize};
 
@@ -138,14 +138,6 @@ pub fn run_fleet_observed(
                 let mut busy_secs = 0.0;
                 let mut tally = Supervision::default();
                 let mut local_sketch = QuantileSketch::default();
-                let flight = (config.flight_recorder > 0)
-                    .then(|| Arc::new(FlightRecorder::new(config.flight_recorder)));
-                // One intent-log mirror per worker, reset per attempt by
-                // the supervisor: every abandoned device ships its log
-                // tail for `eandroid replay`.
-                let intents = Arc::new(ea_framework::IntentLogRecorder::new(
-                    ea_framework::INTENT_LOG_CAPACITY,
-                ));
                 loop {
                     let shard = next_shard.fetch_add(1, Ordering::Relaxed);
                     if shard >= shard_count {
@@ -156,10 +148,8 @@ pub fn run_fleet_observed(
                     for index in lo..hi {
                         let device_started = Instant::now();
                         let hooks = SuperviseHooks {
-                            flight: flight.as_ref(),
                             observatory,
                             on_checkpoint: None,
-                            intents: Some(&intents),
                         };
                         let outcome = supervise_device(config, corpus, index, &mut tally, &hooks);
                         let device_secs = device_started.elapsed().as_secs_f64();

@@ -52,8 +52,7 @@ pub use aggregate::{
 pub use arena::{SlotArena, SlotSpawn};
 pub use config::{device_seed, FleetConfig, Retired};
 pub use device::{
-    simulate_device, simulate_device_attempt, simulate_device_forensic, simulate_device_observed,
-    DeviceCheckpoint, DeviceReport, CHAOS_PANIC_PREFIX,
+    simulate_device, DeviceCheckpoint, DeviceHooks, DeviceReport, CHAOS_PANIC_PREFIX,
 };
 pub use engine::{run_fleet, run_fleet_observed, run_fleet_traced, FleetRunStats};
 pub use merge::ReportFold;

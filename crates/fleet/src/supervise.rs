@@ -12,13 +12,15 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
-use ea_framework::IntentLogRecorder;
+use ea_framework::{IntentLogRecorder, INTENT_LOG_CAPACITY};
 use ea_metrics::{FleetObservatory, FlightRecorder};
 use ea_telemetry::SinkHandle;
 
 use crate::aggregate::DeviceFailure;
 use crate::config::{device_seed, FleetConfig};
-use crate::device::{simulate_device_forensic, DeviceCheckpoint, DeviceReport, CHAOS_PANIC_PREFIX};
+use crate::device::{
+    simulate_device, DeviceCheckpoint, DeviceHooks, DeviceReport, CHAOS_PANIC_PREFIX,
+};
 
 thread_local! {
     /// Set while a supervised thread runs a device: the wrapped panic
@@ -122,14 +124,11 @@ impl Supervision {
     }
 }
 
-/// Side channels a supervisor can attach to one device run. All of them
-/// are strictly observational: the device report is byte-identical with
-/// or without any hook attached.
+/// Side channels a supervisor can attach to one device run. Both are
+/// strictly observational: the device report is byte-identical with or
+/// without them.
 #[derive(Default)]
 pub struct SuperviseHooks<'a> {
-    /// Bounded telemetry ring, reset per attempt and dumped into the
-    /// [`DeviceFailure`] on abandonment.
-    pub flight: Option<&'a Arc<FlightRecorder>>,
     /// Live run-wide health counters (retries, chaos panics).
     pub observatory: Option<&'a FleetObservatory>,
     /// Called after every completed session with the device's progress
@@ -137,11 +136,6 @@ pub struct SuperviseHooks<'a> {
     /// lane as checkpoint events. Called inside the panic boundary, so
     /// the hook must tolerate the attempt unwinding right after it runs.
     pub on_checkpoint: Option<&'a (dyn Fn(DeviceCheckpoint) + 'a)>,
-    /// Lifecycle intent-log mirror, reset per attempt and dumped into
-    /// the [`DeviceFailure`] (and the flight dump's `intent_tail`) on
-    /// abandonment — the replay input for `eandroid replay`. Only
-    /// meaningful on the default reducer lifecycle path.
-    pub intents: Option<&'a Arc<IntentLogRecorder>>,
 }
 
 /// Deterministic per-attempt backoff before a device retry: a short,
@@ -153,10 +147,11 @@ fn retry_backoff(fleet_seed: u64, index: usize, attempt: u32) -> std::time::Dura
 }
 
 /// Supervises one device: bounded retries with seeded backoff, partial
-/// progress salvaged through a checkpoint cell updated by the simulation.
-/// When a flight recorder is attached, the ring is cleared before every
-/// attempt (so a dump never mixes attempts) and snapshotted into the
-/// [`DeviceFailure`] on abandonment.
+/// progress salvaged through the checkpoint callback. The supervisor owns
+/// the device's forensics recorders: an intent-log recorder always, and a
+/// flight recorder of `config.flight_recorder` events when that is
+/// non-zero. Both are cleared before every attempt (so a dump never mixes
+/// attempts) and dumped into the [`DeviceFailure`] on abandonment.
 // The Err arm is the full forensics bundle (checkpoint + flight dump +
 // intent-log tail); it only materializes on the cold abandonment path,
 // where its size is irrelevant.
@@ -169,33 +164,32 @@ pub fn supervise_device(
     hooks: &SuperviseHooks<'_>,
 ) -> Result<DeviceReport, DeviceFailure> {
     let checkpoint = std::cell::Cell::new(None);
-    let flight_handle = hooks
-        .flight
+    let intents = Arc::new(IntentLogRecorder::new(INTENT_LOG_CAPACITY));
+    let flight =
+        (config.flight_recorder > 0).then(|| Arc::new(FlightRecorder::new(config.flight_recorder)));
+    let flight_handle = flight
+        .as_ref()
         .map(|recorder| SinkHandle::new(recorder.clone()));
+    let on_checkpoint = |snapshot: DeviceCheckpoint| {
+        checkpoint.set(Some(snapshot));
+        if let Some(forward) = hooks.on_checkpoint {
+            forward(snapshot);
+        }
+    };
     let mut attempts = 0u32;
     loop {
-        if let Some(recorder) = hooks.flight {
+        intents.reset();
+        if let Some(recorder) = &flight {
             recorder.reset();
         }
-        if let Some(recorder) = hooks.intents {
-            recorder.reset();
-        }
+        let device_hooks = DeviceHooks {
+            attempt: attempts,
+            on_checkpoint: Some(&on_checkpoint),
+            flight: flight_handle.as_ref(),
+            intents: Some(&intents),
+        };
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            let on_checkpoint = |snapshot: DeviceCheckpoint| {
-                checkpoint.set(Some(snapshot));
-                if let Some(forward) = hooks.on_checkpoint {
-                    forward(snapshot);
-                }
-            };
-            simulate_device_forensic(
-                config,
-                corpus,
-                index,
-                attempts,
-                &on_checkpoint,
-                flight_handle.as_ref(),
-                hooks.intents,
-            )
+            simulate_device(config, corpus, index, &device_hooks)
         }));
         attempts += 1;
         match result {
@@ -215,17 +209,15 @@ pub fn supervise_device(
                 }
                 if attempts > config.max_retries {
                     tally.abandoned += 1;
-                    let intent_log = hooks.intents.map(|recorder| recorder.dump());
+                    let intent_log = intents.dump();
                     // The flight dump and the intent log travel as one
                     // forensics bundle: stitch the log tail into the dump
                     // so either artifact alone suffices for replay.
-                    let flight_recorder = hooks.flight.map(|recorder| {
+                    let flight_recorder = flight.map(|recorder| {
                         let mut dump = recorder.dump();
-                        dump.intent_tail = intent_log.as_ref().and_then(|log| {
-                            serde_json::to_string(log)
-                                .ok()
-                                .and_then(|text| serde_json::from_str(&text).ok())
-                        });
+                        dump.intent_tail = serde_json::to_string(&intent_log)
+                            .ok()
+                            .and_then(|text| serde_json::from_str(&text).ok());
                         dump
                     });
                     return Err(DeviceFailure {
@@ -235,7 +227,7 @@ pub fn supervise_device(
                         attempts,
                         checkpoint: checkpoint.get(),
                         flight_recorder,
-                        intent_log,
+                        intent_log: Some(intent_log),
                     });
                 }
                 if attempts == 1 {
@@ -312,5 +304,50 @@ mod tests {
         // The injected panic fires before session 0, so no salvage here —
         // but the message is preserved verbatim.
         assert!(failure.message.contains("injected fault"));
+    }
+
+    #[test]
+    fn default_hooks_record_the_same_intent_log_as_the_fleet() {
+        install_quiet_hook();
+        let _quiet = QuietPanicsGuard::enter();
+        let config = FleetConfig {
+            jobs: 1,
+            faults: Some(ea_chaos::FaultPlan::uniform(1, 0.5)),
+            ..FleetConfig::smoke(6, 2_026)
+        };
+        let (report, _) = crate::run_fleet(&config);
+        let recorded = report
+            .failures
+            .iter()
+            .find(|failure| {
+                failure.message.contains(CHAOS_PANIC_PREFIX) && failure.checkpoint.is_some()
+            })
+            .unwrap_or_else(|| panic!("the plan abandons a device mid-run"));
+
+        let corpus = corpus_for(&config);
+        let mut tally = Supervision::default();
+        let hooks = SuperviseHooks::default();
+        let failure = match supervise_device(&config, &corpus, recorded.index, &mut tally, &hooks) {
+            Err(failure) => failure,
+            Ok(_) => panic!("device {} must be abandoned again", recorded.index),
+        };
+        let log = failure
+            .intent_log
+            .as_ref()
+            .unwrap_or_else(|| panic!("the supervisor records intents under default hooks"));
+        assert!(!log.is_empty(), "a mid-run panic leaves intents behind");
+        assert_eq!(log.dropped, 0);
+        assert!(
+            log.intents
+                .iter()
+                .enumerate()
+                .all(|(position, intent)| intent.seq == position as u64),
+            "seqs run contiguously from 0"
+        );
+        assert_eq!(failure.intent_log, recorded.intent_log);
+        assert!(
+            failure.flight_recorder.is_none(),
+            "no flight recorder asked for"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! plus the intent-log round trip and chaos-failure replay.
 
 use ea_fleet::{render, replay_failure, run_fleet, FleetConfig};
-use ea_framework::{Cause, IntentLog, IntentLogDump, LifecycleOp};
+use ea_framework::{Cause, IntentLogDump, IntentLogRecorder, LifecycleIntent, LifecycleOp};
 use ea_sim::{SimTime, Uid};
 use proptest::prelude::*;
 
@@ -110,9 +110,14 @@ proptest! {
         capacity in 1usize..48,
         tamper_pick in 0usize..64,
     ) {
-        let mut log = IntentLog::new(capacity);
-        for (millis, cause, op) in &entries {
-            log.append(SimTime::from_millis(*millis), *cause, op.clone());
+        let log = IntentLogRecorder::new(capacity);
+        for (seq, (millis, cause, op)) in (0..).zip(&entries) {
+            log.append(LifecycleIntent {
+                seq,
+                at: SimTime::from_millis(*millis),
+                cause: *cause,
+                op: op.clone(),
+            });
         }
         let dump = log.dump();
         prop_assert_eq!(dump.len(), entries.len().min(capacity));

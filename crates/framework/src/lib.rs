@@ -89,8 +89,8 @@ pub use error::FrameworkError;
 pub use events::{ChangeSource, ForegroundCause, FrameworkEvent, TimedEvent};
 pub use intent::Intent;
 pub use lifecycle::{
-    Cause, IntentLog, IntentLogDump, IntentLogRecorder, LifecycleIntent, LifecycleOp,
-    LifecycleReducer, INTENT_LOG_CAPACITY,
+    Cause, IntentLogDump, IntentLogRecorder, LifecycleIntent, LifecycleOp, LifecycleReducer,
+    INTENT_LOG_CAPACITY,
 };
 pub use manifest::{AppManifest, AppManifestBuilder, ComponentDecl, ComponentKind, Permission};
 pub use routine::Routine;

@@ -18,13 +18,14 @@
 //!   on exactly which locks to reclaim, with `Cause::Sweep` on the
 //!   reclaiming transition.
 //!
-//! Intents append to a bounded per-device [`IntentLog`] — constant
-//! memory, monotonic sequence numbers across drops — and optionally
-//! mirror into a shared [`IntentLogRecorder`] so the fleet supervisor
-//! can attach the tail of a crashed attempt to its `DeviceFailure`. The
-//! log is a pure function of the device's seeded inputs: replaying the
-//! same `(config, corpus, index, attempt)` reproduces it byte for byte,
-//! which is what `eandroid replay` verifies.
+//! The framework numbers each intent and moves it into an attached
+//! [`IntentLogRecorder`]: a bounded ring (constant memory, monotonic
+//! sequence numbers across drops) that the fleet supervisor owns, so the
+//! tail of a crashed attempt survives the panic and lands in its
+//! `DeviceFailure`. Without a recorder, intents are reduced and not kept.
+//! The log is a pure function of the device's seeded inputs: replaying
+//! the same `(config, corpus, index, attempt)` reproduces it byte for
+//! byte, which is what `eandroid replay` verifies.
 //!
 //! Chaos perturbations (dropped/duplicated broadcasts, lost wakelock
 //! releases, deferred death notifications) are recorded as first-class
@@ -365,70 +366,27 @@ pub struct LifecycleIntent {
 /// Default ring capacity of a device's intent log.
 pub const INTENT_LOG_CAPACITY: usize = 1024;
 
-/// A bounded append-only log of lifecycle intents: constant memory per
-/// device, oldest entries dropped first, sequence numbers monotonic
-/// across drops so a dump names exactly which prefix fell off.
-#[derive(Debug, Clone)]
-pub struct IntentLog {
+/// A bounded ring of already-sequenced lifecycle intents: constant
+/// memory per device, oldest entries dropped first, and a drop count so
+/// a dump names exactly which prefix fell off (the framework's sequence
+/// numbers stay monotonic across drops).
+#[derive(Debug)]
+struct IntentLog {
     capacity: usize,
-    next_seq: u64,
     dropped: u64,
     intents: VecDeque<LifecycleIntent>,
 }
 
 impl IntentLog {
-    /// A log retaining the last `capacity` intents (at least one).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        IntentLog {
-            capacity: capacity.max(1),
-            next_seq: 0,
-            dropped: 0,
-            intents: VecDeque::new(),
-        }
-    }
-
-    /// Appends one intent, assigning the next sequence number, and
-    /// returns the recorded entry.
-    pub fn append(&mut self, at: SimTime, cause: Cause, op: LifecycleOp) -> LifecycleIntent {
-        let intent = LifecycleIntent {
-            seq: self.next_seq,
-            at,
-            cause,
-            op,
-        };
-        self.next_seq += 1;
+    fn push(&mut self, intent: LifecycleIntent) {
         if self.intents.len() == self.capacity {
             self.intents.pop_front();
             self.dropped += 1;
         }
-        self.intents.push_back(intent.clone());
-        intent
+        self.intents.push_back(intent);
     }
 
-    /// Retained intents.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.intents.len()
-    }
-
-    /// Whether the log retained nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.intents.is_empty()
-    }
-
-    /// Clears the ring and resets sequence numbering (between retry
-    /// attempts).
-    pub fn clear(&mut self) {
-        self.intents.clear();
-        self.next_seq = 0;
-        self.dropped = 0;
-    }
-
-    /// Snapshots the ring into a serializable dump.
-    #[must_use]
-    pub fn dump(&self) -> IntentLogDump {
+    fn dump(&self) -> IntentLogDump {
         IntentLogDump {
             capacity: self.capacity,
             dropped: self.dropped,
@@ -486,10 +444,10 @@ impl IntentLogDump {
     }
 }
 
-/// A shareable, panic-surviving intent-log mirror: the fleet supervisor
-/// holds one per worker and attaches its dump to a `DeviceFailure` when
-/// a device is abandoned — the same pattern as the flight recorder, but
-/// always on (intents are rare, so mirroring costs nothing on the
+/// A shareable, panic-surviving intent log: the fleet supervisor creates
+/// one per device and attaches its dump to a `DeviceFailure` when the
+/// device is abandoned — the same pattern as the flight recorder, but
+/// always on (intents are rare, so recording costs nothing on the
 /// settled-device fast path).
 #[derive(Debug)]
 pub struct IntentLogRecorder {
@@ -497,11 +455,15 @@ pub struct IntentLogRecorder {
 }
 
 impl IntentLogRecorder {
-    /// A recorder retaining the last `capacity` intents.
+    /// A recorder retaining the last `capacity` intents (at least one).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         IntentLogRecorder {
-            state: Mutex::new(IntentLog::new(capacity)),
+            state: Mutex::new(IntentLog {
+                capacity: capacity.max(1),
+                dropped: 0,
+                intents: VecDeque::new(),
+            }),
         }
     }
 
@@ -513,20 +475,17 @@ impl IntentLogRecorder {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Mirrors one already-sequenced intent into the ring.
+    /// Stores one already-sequenced intent in the ring.
     pub fn append(&self, intent: LifecycleIntent) {
-        let mut log = self.lock();
-        if log.intents.len() == log.capacity {
-            log.intents.pop_front();
-            log.dropped += 1;
-        }
-        log.intents.push_back(intent);
+        self.lock().push(intent);
     }
 
     /// Clears the ring — the supervisor calls this between retry
     /// attempts so a dump never mixes intents from two attempts.
     pub fn reset(&self) {
-        self.lock().clear();
+        let mut log = self.lock();
+        log.intents.clear();
+        log.dropped = 0;
     }
 
     /// Snapshots the ring into a serializable dump.
@@ -694,13 +653,9 @@ mod tests {
 
     #[test]
     fn log_keeps_tail_with_monotonic_seqs() {
-        let mut log = IntentLog::new(3);
+        let log = IntentLogRecorder::new(3);
         for i in 0..5u64 {
-            log.append(
-                SimTime::ZERO,
-                Cause::System,
-                LifecycleOp::ScreenPower { on: i % 2 == 0 },
-            );
+            log.append(intent(i, LifecycleOp::ScreenPower { on: i % 2 == 0 }));
         }
         let dump = log.dump();
         assert_eq!(dump.dropped, 2);
@@ -712,32 +667,22 @@ mod tests {
 
     #[test]
     fn first_divergence_pinpoints_seq() {
-        let mut a = IntentLog::new(8);
-        let mut b = IntentLog::new(8);
-        for _ in 0..3 {
-            a.append(
-                SimTime::ZERO,
-                Cause::User,
-                LifecycleOp::ScreenPower { on: true },
-            );
-            b.append(
-                SimTime::ZERO,
-                Cause::User,
-                LifecycleOp::ScreenPower { on: true },
-            );
+        let screen = |seq, cause, on| LifecycleIntent {
+            seq,
+            at: SimTime::ZERO,
+            cause,
+            op: LifecycleOp::ScreenPower { on },
+        };
+        let a = IntentLogRecorder::new(8);
+        let b = IntentLogRecorder::new(8);
+        for seq in 0..3 {
+            a.append(screen(seq, Cause::User, true));
+            b.append(screen(seq, Cause::User, true));
         }
         assert_eq!(a.dump().first_divergence(&b.dump()), None);
-        b.append(
-            SimTime::ZERO,
-            Cause::User,
-            LifecycleOp::ScreenPower { on: false },
-        );
+        b.append(screen(3, Cause::User, false));
         assert_eq!(a.dump().first_divergence(&b.dump()), Some(3));
-        a.append(
-            SimTime::ZERO,
-            Cause::Sweep,
-            LifecycleOp::ScreenPower { on: false },
-        );
+        a.append(screen(3, Cause::Sweep, false));
         assert_eq!(a.dump().first_divergence(&b.dump()), Some(3));
     }
 
@@ -796,23 +741,25 @@ mod tests {
 
     #[test]
     fn dump_round_trips_through_json() {
-        let mut log = IntentLog::new(4);
-        log.append(
-            SimTime::from_secs(1),
-            Cause::Attack,
-            LifecycleOp::ServiceStarted {
+        let log = IntentLogRecorder::new(4);
+        log.append(LifecycleIntent {
+            seq: 0,
+            at: SimTime::from_secs(1),
+            cause: Cause::Attack,
+            op: LifecycleOp::ServiceStarted {
                 uid: Uid::FIRST_APP,
                 component: String::from("Srv"),
             },
-        );
-        log.append(
-            SimTime::from_secs(2),
-            Cause::Fault,
-            LifecycleOp::ReleaseLost {
+        });
+        log.append(LifecycleIntent {
+            seq: 1,
+            at: SimTime::from_secs(2),
+            cause: Cause::Fault,
+            op: LifecycleOp::ReleaseLost {
                 uid: Uid::FIRST_APP,
                 id: WakelockId(1),
             },
-        );
+        });
         let dump = log.dump();
         let text = serde_json::to_string(&dump).unwrap();
         let back: IntentLogDump = serde_json::from_str(&text).unwrap();

@@ -22,9 +22,9 @@ use ea_telemetry::{SinkHandle, TelemetryEvent, TelemetrySink};
 use crate::{
     ActivityId, ActivityRecord, ActivityState, AppBehavior, AppManifest, Cause, ChangeSource,
     ComponentKind, ConnectionId, ForegroundCause, FrameworkError, FrameworkEvent, Intent,
-    IntentLog, IntentLogDump, IntentLogRecorder, LifecycleOp, LifecycleReducer, Permission,
-    Routine, ServiceRecord, SettingsProvider, SurfaceFlinger, TaskStack, TimedEvent, Wakelock,
-    WakelockId, WakelockKind, INTENT_LOG_CAPACITY,
+    IntentLogRecorder, LifecycleIntent, LifecycleOp, LifecycleReducer, Permission, Routine,
+    ServiceRecord, SettingsProvider, SurfaceFlinger, TaskStack, TimedEvent, Wakelock, WakelockId,
+    WakelockKind,
 };
 
 /// Packages installed as system apps at boot. E-Android excludes these from
@@ -81,12 +81,13 @@ struct PendingResolver {
     candidates: Vec<(Uid, String)>,
 }
 
-/// Lifecycle bookkeeping: the desired-state reducer, the bounded
-/// per-device intent log, and the optional supervisor-shared mirror.
+/// Lifecycle bookkeeping: the desired-state reducer, the next intent
+/// sequence number, and the optional supervisor-shared recorder — the
+/// one place an intent is stored.
 #[derive(Debug)]
 struct LifecycleCore {
     reducer: LifecycleReducer,
-    log: IntentLog,
+    next_seq: u64,
     recorder: Option<Arc<IntentLogRecorder>>,
     /// Scripted framing for the next transitions (attack vector firing,
     /// benign routine), overriding event-intrinsic causes.
@@ -99,7 +100,7 @@ impl LifecycleCore {
     fn new() -> Self {
         LifecycleCore {
             reducer: LifecycleReducer::new(),
-            log: IntentLog::new(INTENT_LOG_CAPACITY),
+            next_seq: 0,
             recorder: None,
             ambient: None,
             sweeping: false,
@@ -1788,28 +1789,35 @@ impl AndroidSystem {
     }
 
     /// Intent derivation: every lifecycle transition an event announces
-    /// is appended to the intent log (with its resolved [`Cause`]) and
-    /// folded into the desired-state reducer, regardless of whether
-    /// scenario event recording is on. No-op for non-lifecycle events.
+    /// becomes an intent (with its resolved [`Cause`]), regardless of
+    /// whether scenario event recording is on. No-op for non-lifecycle
+    /// events.
     fn observe_intent(&mut self, event: &FrameworkEvent) {
-        let core = &mut self.lifecycle;
         let Some(op) = LifecycleOp::from_event(event) else {
             return;
         };
-        let cause = core.resolve(Cause::intrinsic(event));
-        let intent = core.log.append(self.clock.now(), cause, op);
-        core.reducer.apply(&intent);
-        if let Some(recorder) = &core.recorder {
-            recorder.append(intent);
-        }
+        let cause = self.lifecycle.resolve(Cause::intrinsic(event));
+        self.append_intent(cause, op);
     }
 
     /// Records one chaos fault decision as a `Cause::Fault` intent. The
     /// perturbed transition emits no framework event (that is the point
-    /// of the fault), so the log is the only audited record of it.
+    /// of the fault), so the intent is the only audited record of it.
     fn record_perturbation(&mut self, op: LifecycleOp) {
+        self.append_intent(Cause::Fault, op);
+    }
+
+    /// Sequences one intent, folds it into the desired-state reducer and
+    /// moves it into the attached recorder, if any.
+    fn append_intent(&mut self, cause: Cause, op: LifecycleOp) {
         let core = &mut self.lifecycle;
-        let intent = core.log.append(self.clock.now(), Cause::Fault, op);
+        let intent = LifecycleIntent {
+            seq: core.next_seq,
+            at: self.clock.now(),
+            cause,
+            op,
+        };
+        core.next_seq += 1;
         core.reducer.apply(&intent);
         if let Some(recorder) = &core.recorder {
             recorder.append(intent);
@@ -1845,10 +1853,10 @@ impl AndroidSystem {
         self.faults = Some(Box::new(faults));
     }
 
-    /// Shares the fleet supervisor's intent-log mirror: every intent the
-    /// reducer records is also appended to `recorder`, which survives a
+    /// Attaches the fleet supervisor's intent recorder: every intent the
+    /// reducer records is moved into `recorder`, which survives a
     /// panicking device attempt and becomes the `DeviceFailure` log
-    /// tail.
+    /// tail. Without one, intents are reduced and not kept.
     pub fn set_intent_recorder(&mut self, recorder: Arc<IntentLogRecorder>) {
         self.lifecycle.recorder = Some(recorder);
     }
@@ -1859,11 +1867,6 @@ impl AndroidSystem {
     /// causes.
     pub fn set_ambient_cause(&mut self, cause: Option<Cause>) {
         self.lifecycle.ambient = cause;
-    }
-
-    /// Snapshots the device's intent log.
-    pub fn intent_log(&self) -> IntentLogDump {
-        self.lifecycle.log.dump()
     }
 
     /// Read-only access to the desired-state reducer.

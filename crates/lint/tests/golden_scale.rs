@@ -20,7 +20,7 @@
 use ea_apps::demo::DemoApps;
 use ea_apps::malware::Malware;
 use ea_corpus::{generate_corpus, CorpusConfig};
-use ea_fleet::{device_seed, simulate_device, FleetConfig};
+use ea_fleet::{device_seed, simulate_device, DeviceHooks, FleetConfig};
 use ea_framework::{AndroidSystem, AppManifest};
 use ea_lint::{render, Linter};
 use ea_sim::SimRng;
@@ -128,7 +128,7 @@ fn install_sets_are_the_fleet_devices_install_sets() {
     let linter = Linter::new();
     for index in 0..FLEET_DEVICES {
         let report = linter.lint_system(&install_set(&config, &manifests, index));
-        let device = simulate_device(&config, &manifests, index);
+        let device = simulate_device(&config, &manifests, index, &DeviceHooks::default());
         assert_eq!(device.apps_linted, report.apps_checked, "device {index}");
         assert_eq!(device.lint_diagnostics, report.len(), "device {index}");
         assert_eq!(

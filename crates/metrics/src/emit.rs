@@ -1,13 +1,19 @@
 //! The one snapshot-rendering path shared by every live surface: the
-//! `--watch` stderr ticker, the `--heartbeat` JSONL stream, and the
-//! `ea-serve` service's sampler all push the *same*
-//! [`MetricsSnapshot`] through a [`SnapshotEmitter`], so a number shown
-//! on one surface can never disagree with the same number on another.
+//! `--watch` stderr ticker and the `--heartbeat` JSONL stream both take
+//! the *same* [`MetricsSnapshot`] through a [`SnapshotEmitter`], fed by
+//! the one sampler ([`sample_live`]) that `eandroid fleet`, `metrics`
+//! and the `ea-serve` service all run, so a number shown on one surface
+//! can never disagree with the same number on another.
 
 use std::io::Write;
+use std::sync::mpsc;
 use std::sync::Mutex;
+use std::time::Duration;
 
-use crate::MetricsSnapshot;
+use crate::{FleetObservatory, MetricsSnapshot};
+
+/// How often [`sample_live`] renders a snapshot while work runs.
+const SAMPLE_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Renders observatory snapshots to the enabled live surfaces.
 ///
@@ -15,7 +21,7 @@ use crate::MetricsSnapshot;
 /// a sampler thread and a final-flush caller can share one emitter.
 pub struct SnapshotEmitter<'a> {
     watch: bool,
-    heartbeat: Mutex<Option<&'a mut (dyn Write + Send)>>,
+    heartbeat: Mutex<Option<Box<dyn Write + Send + 'a>>>,
 }
 
 impl std::fmt::Debug for SnapshotEmitter<'_> {
@@ -30,7 +36,7 @@ impl<'a> SnapshotEmitter<'a> {
     /// An emitter for the given surfaces: `watch` draws the one-line
     /// stderr ticker, `heartbeat` appends one JSONL line per snapshot.
     #[must_use]
-    pub fn new(watch: bool, heartbeat: Option<&'a mut (dyn Write + Send)>) -> Self {
+    pub fn new(watch: bool, heartbeat: Option<Box<dyn Write + Send + 'a>>) -> Self {
         SnapshotEmitter {
             watch,
             heartbeat: Mutex::new(heartbeat),
@@ -69,6 +75,38 @@ impl<'a> SnapshotEmitter<'a> {
     }
 }
 
+/// Runs `work` while a sampler thread renders `observatory`'s snapshot
+/// to `emitter` every 250 ms, then renders one final snapshot (finishing
+/// the watch line) and returns it with `work`'s result. A run shorter
+/// than one interval still leaves that final snapshot; with no surface
+/// enabled, no sampler thread starts.
+pub fn sample_live<T>(
+    observatory: &FleetObservatory,
+    emitter: &SnapshotEmitter<'_>,
+    work: impl FnOnce() -> T,
+) -> (T, MetricsSnapshot) {
+    let result = std::thread::scope(|scope| {
+        // Dropping the sender wakes the sampler at once instead of after
+        // its current interval.
+        let (done, finished) = mpsc::channel::<()>();
+        if emitter.enabled() {
+            scope.spawn(move || {
+                while let Err(mpsc::RecvTimeoutError::Timeout) =
+                    finished.recv_timeout(SAMPLE_INTERVAL)
+                {
+                    emitter.emit(&observatory.snapshot(), false);
+                }
+            });
+        }
+        let result = work();
+        drop(done);
+        result
+    });
+    let last = observatory.snapshot();
+    emitter.emit(&last, true);
+    (result, last)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +136,7 @@ mod tests {
     fn heartbeat_lines_are_replayable_snapshots() {
         let mut buffer: Vec<u8> = Vec::new();
         {
-            let emitter = SnapshotEmitter::new(false, Some(&mut buffer));
+            let emitter = SnapshotEmitter::new(false, Some(Box::new(&mut buffer)));
             assert!(emitter.enabled());
             emitter.emit(&sample(), false);
             emitter.emit(&sample(), true);
@@ -110,6 +148,26 @@ mod tests {
             let back: MetricsSnapshot = serde_json::from_str(line).expect("parses");
             assert_eq!(back.schema, SNAPSHOT_SCHEMA);
         }
+    }
+
+    #[test]
+    fn sampler_ends_with_the_final_snapshot() {
+        let observatory = FleetObservatory::new(2, 1);
+        let mut buffer: Vec<u8> = Vec::new();
+        {
+            let emitter = SnapshotEmitter::new(false, Some(Box::new(&mut buffer)));
+            let (answer, last) = sample_live(&observatory, &emitter, || {
+                observatory.device_completed(1.0);
+                observatory.device_completed(2.0);
+                42
+            });
+            assert_eq!(answer, 42);
+            assert_eq!(last.devices_done, 2);
+        }
+        let text = String::from_utf8(buffer).expect("utf8 jsonl");
+        let last_line = text.lines().last().expect("a final snapshot");
+        let back: MetricsSnapshot = serde_json::from_str(last_line).expect("parses");
+        assert_eq!(back.devices_done, 2);
     }
 
     #[test]

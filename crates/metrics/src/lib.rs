@@ -39,7 +39,7 @@ mod sketch;
 mod snapshot;
 mod window;
 
-pub use emit::SnapshotEmitter;
+pub use emit::{sample_live, SnapshotEmitter};
 pub use flight::{FlightDump, FlightRecorder};
 pub use observatory::FleetObservatory;
 pub use sketch::QuantileSketch;

@@ -38,13 +38,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ea_corpus::{generate_corpus, CorpusConfig};
 use ea_fleet::supervise::{install_quiet_hook, QuietPanicsGuard};
 use ea_fleet::{aggregate, FleetConfig, FleetReport, SuperviseHooks, Supervision};
-use ea_metrics::{FleetObservatory, FlightRecorder, QuantileSketch, SnapshotEmitter};
+use ea_metrics::{sample_live, FleetObservatory, QuantileSketch, SnapshotEmitter};
 
 use crate::protocol::{Ack, LaneEvent, Request};
 use crate::ring;
@@ -157,8 +157,8 @@ struct ServerShared<'a> {
 /// returns the drained deterministic report plus wall-clock stats.
 ///
 /// `emitter` (when enabled) receives an observatory snapshot roughly
-/// every 250 ms and one final sample — the same snapshots the socket's
-/// `snapshot` query serves.
+/// every 250 ms while the stream runs and one final sample once it has
+/// drained — the same snapshots the socket's `snapshot` query serves.
 ///
 /// # Errors
 ///
@@ -204,7 +204,6 @@ pub fn run_serve(
     let report_json: Mutex<Option<String>> = Mutex::new(None);
     let report_ready = Condvar::new();
     let stop = AtomicBool::new(false);
-    let stream_done = AtomicBool::new(false);
 
     let report = std::thread::scope(|scope| {
         let mut worker_handles = Vec::with_capacity(lanes);
@@ -223,14 +222,6 @@ pub fn run_serve(
             scope.spawn(move || {
                 let _quiet = QuietPanicsGuard::enter();
                 let mut tally = Supervision::default();
-                let flight = (fleet.flight_recorder > 0)
-                    .then(|| Arc::new(FlightRecorder::new(fleet.flight_recorder)));
-                // One intent-log mirror per lane, reset per attempt by the
-                // shared supervisor — crashed devices stream their replay
-                // bundle through `LaneEvent::Crashed` like the batch path.
-                let intents = Arc::new(ea_framework::IntentLogRecorder::new(
-                    ea_framework::INTENT_LOG_CAPACITY,
-                ));
                 for index in (lane_id..size).step_by(lanes) {
                     if producer.push(LaneEvent::Join { index }).is_err() {
                         break; // shard worker died: lane can never drain
@@ -240,10 +231,8 @@ pub fn run_serve(
                         let _ = producer.push(LaneEvent::Checkpoint { index, snapshot });
                     };
                     let hooks = SuperviseHooks {
-                        flight: flight.as_ref(),
                         observatory: Some(observatory),
                         on_checkpoint: Some(&on_checkpoint),
-                        intents: Some(&intents),
                     };
                     let outcome = ea_fleet::supervise::supervise_device(
                         fleet, corpus, index, &mut tally, &hooks,
@@ -324,28 +313,19 @@ pub fn run_serve(
             });
         }
 
-        // Live sampler for --watch / --heartbeat.
-        if emitter.is_some_and(SnapshotEmitter::enabled) {
-            let observatory = &observatory;
-            let stream_done = &stream_done;
-            scope.spawn(move || {
-                while !stream_done.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(250));
-                    if stream_done.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(emitter) = emitter {
-                        emitter.emit(&observatory.snapshot(), false);
-                    }
-                }
-            });
+        // Drain: every lane closed and every buffered event ingested,
+        // sampled live for --watch / --heartbeat.
+        let drain = || {
+            for handle in worker_handles {
+                let _ = handle.join();
+            }
+        };
+        match emitter {
+            Some(emitter) => {
+                sample_live(&observatory, emitter, drain);
+            }
+            None => drain(),
         }
-
-        // Drain: every lane closed and every buffered event ingested.
-        for handle in worker_handles {
-            let _ = handle.join();
-        }
-        stream_done.store(true, Ordering::Relaxed);
 
         // The deterministic fold: outcomes in index order through the
         // shared ReportFold, sketch merged commutatively, supervision
@@ -373,9 +353,6 @@ pub fn run_serve(
         report
     });
 
-    if let Some(emitter) = emitter {
-        emitter.emit(&observatory.snapshot(), true);
-    }
     if let Some(path) = &config.socket {
         let _ = std::fs::remove_file(path);
     }

@@ -465,7 +465,7 @@ mod tests {
             attempts: 3,
             checkpoint: None,
             flight_recorder: None,
-            intent_log: Some(ea_framework::IntentLog::new(4).dump()),
+            intent_log: Some(ea_framework::IntentLogRecorder::new(4).dump()),
         })));
         assert!(!view.drained());
         assert_eq!(view.replayable_crashes(), 1);

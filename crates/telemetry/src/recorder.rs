@@ -3,7 +3,7 @@
 use crate::{SpanId, TelemetryEvent, TelemetrySink, TraceRecord};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Upper bounds (inclusive) of the fixed histogram buckets, chosen for
@@ -123,6 +123,13 @@ pub struct Recorder {
     next_span: AtomicU64,
 }
 
+/// Locks `mutex`, keeping its data when a panicking thread poisoned it:
+/// every guarded buffer changes by single pushes and inserts, so it is
+/// intact at any panic point.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Default for Recorder {
     fn default() -> Self {
         Recorder::new()
@@ -147,7 +154,7 @@ impl Recorder {
     /// Handle to the named counter; increments through it skip the map
     /// lookup entirely.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        let mut counters = self.counters.lock().expect("counter registry poisoned");
+        let mut counters = lock(&self.counters);
         counters
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(AtomicU64::new(0)))
@@ -156,45 +163,36 @@ impl Recorder {
 
     /// All events recorded so far, in emission order.
     pub fn events(&self) -> Vec<TraceRecord> {
-        self.events.lock().expect("event buffer poisoned").clone()
+        lock(&self.events).clone()
     }
 
     /// All counter/gauge samples so far, in write order.
     pub fn samples(&self) -> Vec<MetricSample> {
-        self.samples.lock().expect("sample buffer poisoned").clone()
+        lock(&self.samples).clone()
     }
 
     /// Timestamps and stores one metric sample.
     fn sample(&self, name: &str, value: f64) {
         let at_us = self.epoch.elapsed().as_micros() as u64;
-        self.samples
-            .lock()
-            .expect("sample buffer poisoned")
-            .push(MetricSample {
-                name: name.to_string(),
-                at_us,
-                value,
-            });
+        lock(&self.samples).push(MetricSample {
+            name: name.to_string(),
+            at_us,
+            value,
+        });
     }
 
     /// All completed spans so far, in completion order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.finished_spans
-            .lock()
-            .expect("span buffer poisoned")
-            .clone()
+        lock(&self.finished_spans).clone()
     }
 
     /// Snapshot of every counter, gauge, and histogram.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .expect("counter registry poisoned")
+        let counters = lock(&self.counters)
             .iter()
             .map(|(name, value)| (name.clone(), value.load(Ordering::Relaxed)))
             .collect();
-        let metrics = self.metrics.lock().expect("metrics poisoned");
+        let metrics = lock(&self.metrics);
         MetricsSnapshot {
             counters,
             gauges: metrics.gauges.clone(),
@@ -224,10 +222,7 @@ impl TelemetrySink for Recorder {
             .fetch_add(1, Ordering::Relaxed);
         self.counter(&format!("events_{}_total", event.label()))
             .fetch_add(1, Ordering::Relaxed);
-        self.events
-            .lock()
-            .expect("event buffer poisoned")
-            .push(TraceRecord { t_us, event });
+        lock(&self.events).push(TraceRecord { t_us, event });
     }
 
     fn record_events(&self, t_us: u64, events: &[TelemetryEvent]) {
@@ -251,7 +246,7 @@ impl TelemetrySink for Recorder {
             self.counter(&format!("events_{label}_total"))
                 .fetch_add(count, Ordering::Relaxed);
         }
-        let mut buffer = self.events.lock().expect("event buffer poisoned");
+        let mut buffer = lock(&self.events);
         buffer.reserve(events.len());
         buffer.extend(events.iter().map(|event| TraceRecord {
             t_us,
@@ -266,14 +261,14 @@ impl TelemetrySink for Recorder {
 
     fn gauge_set(&self, name: &str, value: f64) {
         {
-            let mut metrics = self.metrics.lock().expect("metrics poisoned");
+            let mut metrics = lock(&self.metrics);
             metrics.gauges.insert(name.to_string(), value);
         }
         self.sample(name, value);
     }
 
     fn observe(&self, name: &str, value: f64) {
-        let mut metrics = self.metrics.lock().expect("metrics poisoned");
+        let mut metrics = lock(&self.metrics);
         metrics
             .histograms
             .entry(name.to_string())
@@ -283,7 +278,7 @@ impl TelemetrySink for Recorder {
 
     fn span_enter(&self, name: &str) -> SpanId {
         let id = SpanId(self.next_span.fetch_add(1, Ordering::Relaxed));
-        let mut open = self.open_spans.lock().expect("span stack poisoned");
+        let mut open = lock(&self.open_spans);
         let depth = open.len();
         open.push(OpenSpan {
             id,
@@ -295,7 +290,7 @@ impl TelemetrySink for Recorder {
     }
 
     fn span_exit(&self, id: SpanId) {
-        let mut open = self.open_spans.lock().expect("span stack poisoned");
+        let mut open = lock(&self.open_spans);
         let Some(index) = open.iter().rposition(|span| span.id == id) else {
             return;
         };
@@ -311,10 +306,7 @@ impl TelemetrySink for Recorder {
             depth: span.depth,
         };
         self.observe(&format!("span_us_{}", record.name), record.dur_us as f64);
-        self.finished_spans
-            .lock()
-            .expect("span buffer poisoned")
-            .push(record);
+        lock(&self.finished_spans).push(record);
     }
 }
 

@@ -22,9 +22,9 @@
 //! [--heartbeat <path>] [--flight-recorder N] [--batch-kernel on|off]`.
 //!
 //! Argument parsing is hand-rolled: the interface is small and the workspace
-//! keeps its dependency set minimal (see DESIGN.md §6). `scenario`, `fleet`,
-//! `serve` and `metrics` reject an unknown flag or a malformed number with
-//! exit code 2 and their usage line.
+//! keeps its dependency set minimal (see DESIGN.md §6). Every command that
+//! takes arguments rejects an unknown flag, a missing value or a malformed
+//! number with exit code 2 and its usage line.
 
 use std::process::ExitCode;
 
@@ -37,7 +37,7 @@ use e_android::corpus::{analyze, generate_corpus, to_manifest_xml, CorpusConfig}
 use e_android::fleet::{run_fleet_traced, FleetConfig};
 use e_android::framework::AndroidSystem;
 use e_android::lint::{render, BaselineDiff, LintSystem, Linter};
-use e_android::metrics::{FleetObservatory, SnapshotEmitter};
+use e_android::metrics::{sample_live, FleetObservatory, SnapshotEmitter};
 use e_android::serve::{run_serve, Request, ServeConfig};
 use e_android::telemetry::SinkHandle;
 
@@ -240,6 +240,73 @@ const SERVE_USAGE: Usage = Usage {
     ],
 };
 
+const REPLAY_USAGE: Usage = Usage {
+    command: "replay",
+    positionals: &["<report.json>"],
+    flags: &[&[("--healthy", Some("N")), ("--json", None)]],
+};
+
+const QUERY_USAGE: Usage = Usage {
+    command: "query",
+    positionals: &["[ping|snapshot|window|report|shutdown]"],
+    flags: &[&[
+        ("--socket", Some("<path>")),
+        ("--retries", Some("N")),
+        ("--retry-delay-ms", Some("N")),
+    ]],
+};
+
+const CHAOS_USAGE: Usage = Usage {
+    command: "chaos",
+    positionals: &[],
+    flags: &[&[
+        ("--seed", Some("N")),
+        ("--fleet-size", Some("N")),
+        ("--quick", None),
+        ("--json", None),
+    ]],
+};
+
+const LINT_USAGE: Usage = Usage {
+    command: "lint",
+    positionals: &["[demo|corpus]"],
+    flags: &[&[
+        ("--json", None),
+        ("--baseline", Some("<report.json>")),
+        ("--rules", None),
+        ("--seed", Some("N")),
+        ("--size", Some("N")),
+    ]],
+};
+
+const DEPLETION_USAGE: Usage = Usage {
+    command: "depletion",
+    positionals: &["[<case>|all]"],
+    flags: &[&[("--cap-hours", Some("N"))]],
+};
+
+const CORPUS_USAGE: Usage = Usage {
+    command: "corpus",
+    positionals: &[],
+    flags: &[&[
+        ("--seed", Some("N")),
+        ("--size", Some("N")),
+        ("--show-xml", None),
+    ]],
+};
+
+const MICRO_USAGE: Usage = Usage {
+    command: "micro",
+    positionals: &[],
+    flags: &[&[("--runs", Some("N"))]],
+};
+
+const WORKLOAD_USAGE: Usage = Usage {
+    command: "workload",
+    positionals: &[],
+    flags: &[&[("--seed", Some("N")), ("--sessions", Some("N"))]],
+};
+
 impl Usage {
     fn flag(&self, arg: &str) -> Option<Flag> {
         self.flags
@@ -249,19 +316,39 @@ impl Usage {
             .copied()
     }
 
-    /// Rejects any argument after the positionals that is not a flag of
-    /// this command, and a value flag with no value.
-    fn check(&self, args: &[&str]) -> Result<(), ExitCode> {
-        let mut rest = args.iter().skip(self.positionals.len());
+    /// The first argument that is neither a flag nor a flag's value,
+    /// wherever it sits among the flags.
+    fn positional<'a>(&self, args: &[&'a str]) -> Option<&'a str> {
+        let mut rest = args.iter();
         while let Some(&arg) = rest.next() {
             match self.flag(arg) {
-                None => return Err(self.reject(&format!("unknown argument: {arg}"))),
+                Some((_, Some(_))) => {
+                    rest.next();
+                }
+                Some((_, None)) => {}
+                None => return Some(arg),
+            }
+        }
+        None
+    }
+
+    /// Rejects a value flag with no value, and any argument that is not a
+    /// flag of this command or one of its positionals.
+    fn check(&self, args: &[&str]) -> Result<(), ExitCode> {
+        let mut rest = args.iter();
+        let mut positionals = 0;
+        while let Some(&arg) = rest.next() {
+            match self.flag(arg) {
                 Some((_, Some(_))) => {
                     if rest.next().is_none() {
                         return Err(self.reject(&format!("{arg} needs a value")));
                     }
                 }
                 Some((_, None)) => {}
+                None if !arg.starts_with("--") && positionals < self.positionals.len() => {
+                    positionals += 1;
+                }
+                None => return Err(self.reject(&format!("unknown argument: {arg}"))),
             }
         }
         Ok(())
@@ -314,13 +401,13 @@ fn parse_policy(args: &[&str]) -> Result<ScreenPolicy, String> {
 }
 
 fn cmd_scenario(args: &[&str]) -> ExitCode {
-    let Some(&name) = args.first() else {
-        eprintln!("scenario: missing name (try `eandroid list`)");
-        return ExitCode::FAILURE;
-    };
     if let Err(code) = SCENARIO_USAGE.check(args) {
         return code;
     }
+    let Some(name) = SCENARIO_USAGE.positional(args) else {
+        eprintln!("scenario: missing name (try `eandroid list`)");
+        return ExitCode::FAILURE;
+    };
     let policy = match parse_policy(args) {
         Ok(policy) => policy,
         Err(message) => {
@@ -468,21 +555,23 @@ fn cmd_scenario(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_depletion(args: &[&str]) -> ExitCode {
-    let cap_hours: u64 = flag_value(args, "--cap-hours")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(24);
-    let selected: Vec<DepletionCase> = match args.first() {
-        None | Some(&"all") => DepletionCase::ALL.to_vec(),
-        Some(&name) if !name.starts_with("--") => {
-            match DepletionCase::ALL.into_iter().find(|c| c.label() == name) {
-                Some(case) => vec![case],
-                None => {
-                    eprintln!("unknown depletion case: {name} (try `eandroid list`)");
-                    return ExitCode::FAILURE;
-                }
+    let usage = &DEPLETION_USAGE;
+    let cap_hours = match usage
+        .check(args)
+        .and_then(|()| usage.number(args, "--cap-hours"))
+    {
+        Ok(hours) => hours.unwrap_or(24),
+        Err(code) => return code,
+    };
+    let selected: Vec<DepletionCase> = match usage.positional(args) {
+        None | Some("all") => DepletionCase::ALL.to_vec(),
+        Some(name) => match DepletionCase::ALL.into_iter().find(|c| c.label() == name) {
+            Some(case) => vec![case],
+            None => {
+                eprintln!("unknown depletion case: {name} (try `eandroid list`)");
+                return ExitCode::FAILURE;
             }
-        }
-        _ => DepletionCase::ALL.to_vec(),
+        },
     };
     for case in selected {
         let curve = run_depletion(case, cap_hours);
@@ -494,13 +583,24 @@ fn cmd_depletion(args: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The `--seed`/`--size` corpus flags of `corpus` and `lint`, defaulting
+/// to the paper's 1,124-app corpus at seed 2017.
+fn parse_corpus_flags(usage: &Usage, args: &[&str]) -> Result<(u64, usize), ExitCode> {
+    Ok((
+        usage.number(args, "--seed")?.unwrap_or(2_017),
+        usage.number(args, "--size")?.unwrap_or(1_124),
+    ))
+}
+
 fn cmd_corpus(args: &[&str]) -> ExitCode {
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(2_017);
-    let size: usize = flag_value(args, "--size")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(1_124);
+    let usage = &CORPUS_USAGE;
+    let (seed, size) = match usage
+        .check(args)
+        .and_then(|()| parse_corpus_flags(usage, args))
+    {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
     let config = CorpusConfig {
         size,
         ..CorpusConfig::paper()
@@ -520,9 +620,14 @@ fn cmd_corpus(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_micro(args: &[&str]) -> ExitCode {
-    let runs: usize = flag_value(args, "--runs")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(50);
+    let usage = &MICRO_USAGE;
+    let runs = match usage
+        .check(args)
+        .and_then(|()| usage.number(args, "--runs"))
+    {
+        Ok(runs) => runs.unwrap_or(50),
+        Err(code) => return code,
+    };
     for result in ea_bench::run_micro_matrix(runs) {
         println!(
             "{:<22} {:<20} median {:>8.2} µs",
@@ -535,16 +640,23 @@ fn cmd_micro(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_workload(args: &[&str]) -> ExitCode {
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(7);
-    let sessions: usize = flag_value(args, "--sessions")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(10);
-    let config = e_android::apps::WorkloadConfig {
-        seed,
-        sessions,
-        ..e_android::apps::WorkloadConfig::default()
+    let usage = &WORKLOAD_USAGE;
+    let parsed = usage.check(args).and_then(|()| {
+        let mut config = e_android::apps::WorkloadConfig {
+            sessions: 10,
+            ..e_android::apps::WorkloadConfig::default()
+        };
+        if let Some(seed) = usage.number(args, "--seed")? {
+            config.seed = seed;
+        }
+        if let Some(sessions) = usage.number(args, "--sessions")? {
+            config.sessions = sessions;
+        }
+        Ok(config)
+    });
+    let config = match parsed {
+        Ok(config) => config,
+        Err(code) => return code,
     };
     let (android, profiler, summary) =
         e_android::apps::run_workload(config, Profiler::eandroid(ScreenPolicy::SeparateEntity));
@@ -603,12 +715,28 @@ fn parse_fleet_config(usage: &Usage, args: &[&str]) -> Result<FleetConfig, ExitC
     Ok(config)
 }
 
-/// Runs the fleet with a live observatory attached and a sampler thread
-/// feeding the shared [`SnapshotEmitter`] — the same snapshot path the
-/// `serve` service uses, so `--watch` and `--heartbeat` render identical
-/// numbers on both commands. A final snapshot is always taken after the
-/// run, so even a run shorter than one sampling interval leaves one
-/// heartbeat line.
+/// The `--watch`/`--heartbeat` surfaces `args` ask for. A heartbeat
+/// file that cannot be created is an error (exit 1).
+fn live_emitter(usage: &Usage, args: &[&str]) -> Result<SnapshotEmitter<'static>, ExitCode> {
+    let heartbeat = match flag_value(args, "--heartbeat") {
+        Some(path) => match std::fs::File::create(path) {
+            Ok(file) => Some(Box::new(file) as Box<dyn std::io::Write + Send>),
+            Err(error) => {
+                eprintln!(
+                    "{}: cannot create heartbeat file {path}: {error}",
+                    usage.command
+                );
+                return Err(ExitCode::FAILURE);
+            }
+        },
+        None => None,
+    };
+    Ok(SnapshotEmitter::new(has_flag(args, "--watch"), heartbeat))
+}
+
+/// Runs the fleet with a live observatory attached, sampled into
+/// `emitter` by the same sampler the `serve` service runs, so `--watch`
+/// and `--heartbeat` render identical numbers on both commands.
 fn run_fleet_with_observatory(
     config: &FleetConfig,
     sink: SinkHandle,
@@ -618,32 +746,12 @@ fn run_fleet_with_observatory(
     e_android::fleet::FleetRunStats,
     e_android::metrics::MetricsSnapshot,
 ) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
     let jobs = config.effective_jobs().max(1).min(config.size.max(1));
     let observatory = FleetObservatory::new(config.size, jobs);
-    let done = AtomicBool::new(false);
-
-    let (report, stats) = std::thread::scope(|scope| {
-        let sampler = scope.spawn(|| {
-            while !done.load(Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(250));
-                if done.load(Ordering::Relaxed) {
-                    break;
-                }
-                emitter.emit(&observatory.snapshot(), false);
-            }
-        });
-        let result = e_android::fleet::run_fleet_observed(config, sink, Some(&observatory));
-        done.store(true, Ordering::Relaxed);
-        if sampler.join().is_err() {
-            eprintln!("fleet: snapshot sampler thread panicked");
-        }
-        result
+    let ((report, stats), snapshot) = sample_live(&observatory, emitter, || {
+        e_android::fleet::run_fleet_observed(config, sink, Some(&observatory))
     });
-    let final_snapshot = observatory.snapshot();
-    emitter.emit(&final_snapshot, true);
-    (report, stats, final_snapshot)
+    (report, stats, snapshot)
 }
 
 fn cmd_fleet(args: &[&str]) -> ExitCode {
@@ -658,23 +766,11 @@ fn cmd_fleet(args: &[&str]) -> ExitCode {
         None => SinkHandle::noop(),
     };
 
-    let watch = has_flag(args, "--watch");
-    let mut heartbeat_file = match flag_value(args, "--heartbeat") {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(file) => Some(file),
-            Err(error) => {
-                eprintln!("fleet: cannot create heartbeat file {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let emitter = match live_emitter(&FLEET_USAGE, args) {
+        Ok(emitter) => emitter,
+        Err(code) => return code,
     };
-
-    let (report, stats) = if watch || heartbeat_file.is_some() {
-        let heartbeat = heartbeat_file
-            .as_mut()
-            .map(|file| file as &mut (dyn std::io::Write + Send));
-        let emitter = SnapshotEmitter::new(watch, heartbeat);
+    let (report, stats) = if emitter.enabled() {
         let (report, stats, _) = run_fleet_with_observatory(&config, sink, &emitter);
         (report, stats)
     } else {
@@ -708,12 +804,17 @@ fn cmd_fleet(args: &[&str]) -> ExitCode {
 /// sample of completed devices as a divergence detector. Exits non-zero
 /// on any mismatch: a divergence means nondeterminism, not noise.
 fn cmd_replay(args: &[&str]) -> ExitCode {
-    let path = match args.first() {
-        Some(&arg) if !arg.starts_with("--") => arg,
-        _ => {
-            eprintln!("replay: missing report path (produce one with `eandroid fleet --json`)");
-            return ExitCode::FAILURE;
-        }
+    let usage = &REPLAY_USAGE;
+    let healthy = match usage
+        .check(args)
+        .and_then(|()| usage.number(args, "--healthy"))
+    {
+        Ok(healthy) => healthy.unwrap_or(0),
+        Err(code) => return code,
+    };
+    let Some(path) = usage.positional(args) else {
+        eprintln!("replay: missing report path (produce one with `eandroid fleet --json`)");
+        return ExitCode::FAILURE;
     };
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -729,9 +830,6 @@ fn cmd_replay(args: &[&str]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let healthy: usize = flag_value(args, "--healthy")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(0);
 
     let verdicts = e_android::fleet::replay_report(&report, healthy);
     if has_flag(args, "--json") {
@@ -798,21 +896,10 @@ fn cmd_metrics(args: &[&str]) -> ExitCode {
         Err(code) => return code,
     };
 
-    let watch = has_flag(args, "--watch");
-    let mut heartbeat_file = match flag_value(args, "--heartbeat") {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(file) => Some(file),
-            Err(error) => {
-                eprintln!("metrics: cannot create heartbeat file {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let emitter = match live_emitter(&METRICS_USAGE, args) {
+        Ok(emitter) => emitter,
+        Err(code) => return code,
     };
-    let heartbeat = heartbeat_file
-        .as_mut()
-        .map(|file| file as &mut (dyn std::io::Write + Send));
-    let emitter = SnapshotEmitter::new(watch, heartbeat);
 
     let (_report, stats, snapshot) =
         run_fleet_with_observatory(&config, SinkHandle::noop(), &emitter);
@@ -856,21 +943,10 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let watch = has_flag(args, "--watch");
-    let mut heartbeat_file = match flag_value(args, "--heartbeat") {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(file) => Some(file),
-            Err(error) => {
-                eprintln!("serve: cannot create heartbeat file {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let emitter = match live_emitter(&SERVE_USAGE, args) {
+        Ok(emitter) => emitter,
+        Err(code) => return code,
     };
-    let heartbeat = heartbeat_file
-        .as_mut()
-        .map(|file| file as &mut (dyn std::io::Write + Send));
-    let emitter = SnapshotEmitter::new(watch, heartbeat);
 
     let (report, stats) = match run_serve(&config, Some(&emitter)) {
         Ok(result) => result,
@@ -891,23 +967,22 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
 /// `eandroid query` — one request to a running serve instance; prints
 /// the raw JSON response line.
 fn cmd_query(args: &[&str]) -> ExitCode {
+    let usage = &QUERY_USAGE;
+    let retries = usage.check(args).and_then(|()| {
+        Ok((
+            usage.number(args, "--retries")?.unwrap_or(40),
+            usage.number(args, "--retry-delay-ms")?.unwrap_or(250),
+        ))
+    });
+    let (retries, delay_ms) = match retries {
+        Ok(retries) => retries,
+        Err(code) => return code,
+    };
     let Some(socket) = flag_value(args, "--socket") else {
         eprintln!("query: --socket <path> is required");
         return ExitCode::FAILURE;
     };
-    // First free-standing argument, skipping flags and their values.
-    let value_flags = ["--socket", "--retries", "--retry-delay-ms"];
-    let mut op = None;
-    let mut iter = args.iter();
-    while let Some(&arg) = iter.next() {
-        if value_flags.contains(&arg) {
-            iter.next();
-        } else if !arg.starts_with("--") {
-            op = Some(arg);
-            break;
-        }
-    }
-    let op = op.unwrap_or("snapshot");
+    let op = usage.positional(args).unwrap_or("snapshot");
     let request = match Request::parse(op) {
         Ok(request) => request,
         Err(message) => {
@@ -915,12 +990,6 @@ fn cmd_query(args: &[&str]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let retries: u32 = flag_value(args, "--retries")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(40);
-    let delay_ms: u64 = flag_value(args, "--retry-delay-ms")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(250);
     match e_android::serve::query_with_retry(
         std::path::Path::new(socket),
         request,
@@ -943,14 +1012,22 @@ fn cmd_query(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_chaos(args: &[&str]) -> ExitCode {
-    let mut config = e_android::soak::SoakConfig::default();
-    if let Some(seed) = flag_value(args, "--seed").and_then(|value| value.parse().ok()) {
-        config.seed = seed;
-    }
-    if let Some(size) = flag_value(args, "--fleet-size").and_then(|value| value.parse().ok()) {
-        config.fleet_size = size;
-    }
-    config.quick = has_flag(args, "--quick");
+    let usage = &CHAOS_USAGE;
+    let parsed = usage.check(args).and_then(|()| {
+        let mut config = e_android::soak::SoakConfig::default();
+        if let Some(seed) = usage.number(args, "--seed")? {
+            config.seed = seed;
+        }
+        if let Some(size) = usage.number(args, "--fleet-size")? {
+            config.fleet_size = size;
+        }
+        config.quick = has_flag(args, "--quick");
+        Ok(config)
+    });
+    let config = match parsed {
+        Ok(config) => config,
+        Err(code) => return code,
+    };
 
     let report = e_android::soak::run_soak(&config);
     if has_flag(args, "--json") {
@@ -988,6 +1065,14 @@ fn cmd_chaos(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_lint(args: &[&str]) -> ExitCode {
+    let usage = &LINT_USAGE;
+    let (seed, size) = match usage
+        .check(args)
+        .and_then(|()| parse_corpus_flags(usage, args))
+    {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
     if has_flag(args, "--rules") {
         println!("{:<26} {:<8} description", "rule", "attack");
         for (rule, description) in Linter::new().rule_listing() {
@@ -1000,11 +1085,10 @@ fn cmd_lint(args: &[&str]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let target = match args.first() {
-        None | Some(&"demo") => "demo",
-        Some(&"corpus") => "corpus",
-        Some(&flag) if flag.starts_with("--") => "demo",
-        Some(&other) => {
+    let target = match usage.positional(args) {
+        None | Some("demo") => "demo",
+        Some("corpus") => "corpus",
+        Some(other) => {
             eprintln!("unknown lint target: {other} (expected demo or corpus)");
             return ExitCode::FAILURE;
         }
@@ -1017,12 +1101,6 @@ fn cmd_lint(args: &[&str]) -> ExitCode {
         e_android::apps::Malware::install(&mut android);
         android.lint()
     } else {
-        let seed: u64 = flag_value(args, "--seed")
-            .and_then(|value| value.parse().ok())
-            .unwrap_or(2_017);
-        let size: usize = flag_value(args, "--size")
-            .and_then(|value| value.parse().ok())
-            .unwrap_or(1_124);
         let config = CorpusConfig {
             size,
             ..CorpusConfig::paper()

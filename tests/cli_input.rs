@@ -83,9 +83,29 @@ fn deeply_nested_json_files_fail_the_cli_without_aborting() {
     }
 }
 
+/// Each `(args, complaint)` must exit 2 before running anything, with
+/// the complaint and the command's usage line on stderr.
+fn assert_rejected_with_usage(cases: &[(Vec<&str>, &str)]) {
+    for (args, complaint) in cases {
+        let output = eandroid(args);
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(complaint), "{args:?}: {err}");
+        let usage = format!("usage: eandroid {}", args[0]);
+        assert!(
+            err.contains(&usage),
+            "{args:?} must print its usage line: {err}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{args:?} must not run: stdout not empty"
+        );
+    }
+}
+
 #[test]
 fn bad_fleet_serve_and_metrics_arguments_exit_2_with_usage() {
-    for (args, complaint) in [
+    assert_rejected_with_usage(&[
         (
             vec!["fleet", "--bogus-flag"],
             "unknown argument: --bogus-flag",
@@ -109,19 +129,61 @@ fn bad_fleet_serve_and_metrics_arguments_exit_2_with_usage() {
             vec!["scenario", "all", "--fault-seed", "x"],
             "--fault-seed expects a number",
         ),
-    ] {
-        let output = eandroid(&args);
-        let err = stderr(&output);
-        assert_eq!(output.status.code(), Some(2), "{args:?}: {err}");
-        assert!(err.contains(complaint), "{args:?}: {err}");
-        let usage = format!("usage: eandroid {}", args[0]);
-        assert!(
-            err.contains(&usage),
-            "{args:?} must print its usage line: {err}"
-        );
-        assert!(
-            output.stdout.is_empty(),
-            "{args:?} must not run: stdout not empty"
-        );
-    }
+    ]);
+}
+
+#[test]
+fn bad_replay_query_chaos_and_lint_arguments_exit_2_with_usage() {
+    assert_rejected_with_usage(&[
+        (
+            vec!["replay", "report.json", "--healthy", "abc"],
+            "--healthy expects a number",
+        ),
+        (
+            vec!["replay", "report.json", "--bogus"],
+            "unknown argument: --bogus",
+        ),
+        (vec!["replay", "--healthy"], "--healthy needs a value"),
+        (
+            vec!["query", "--socket", "s", "--retries", "x"],
+            "--retries expects a number",
+        ),
+        (
+            vec!["query", "--socket", "s", "--retry-delay-ms", "1.5"],
+            "--retry-delay-ms expects a number",
+        ),
+        (
+            vec!["query", "--socket", "s", "snapshot", "extra"],
+            "unknown argument: extra",
+        ),
+        (vec!["query", "--sock", "s"], "unknown argument: --sock"),
+        (vec!["chaos", "--seed", "abc"], "--seed expects a number"),
+        (
+            vec!["chaos", "--fleet-size", "-1"],
+            "--fleet-size expects a number",
+        ),
+        (vec!["chaos", "--quik"], "unknown argument: --quik"),
+        (vec!["chaos", "quick"], "unknown argument: quick"),
+        (
+            vec!["lint", "corpus", "--seed", "x"],
+            "--seed expects a number",
+        ),
+        (
+            vec!["lint", "corpus", "--size", "1e3"],
+            "--size expects a number",
+        ),
+        (vec!["lint", "--bogus"], "unknown argument: --bogus"),
+        (vec!["lint", "demo", "corpus"], "unknown argument: corpus"),
+        (vec!["lint", "--baseline"], "--baseline needs a value"),
+        (
+            vec!["depletion", "--cap-hours", "x"],
+            "--cap-hours expects a number",
+        ),
+        (vec!["corpus", "--size", "big"], "--size expects a number"),
+        (vec!["micro", "--runs", "x"], "--runs expects a number"),
+        (
+            vec!["workload", "--sessions", "x"],
+            "--sessions expects a number",
+        ),
+    ]);
 }
